@@ -26,6 +26,14 @@ The check is purely static (``ast`` parse, no imports executed), walks
 every module including function-local imports, and prints each
 violation as ``file:line: <importing layer> imports <forbidden>``.
 
+One more rule keeps ``repro.core`` a single k-stream engine: no module
+there may compare a stream count (``n_streams``, ``k`` or ``n_rem``)
+with an integer literal — the paper's two-stream model is the general
+path with one remote stream, not a second copy of it.  The only
+exception is an ``if <...>.n_streams > 2:`` guard whose body raises
+``NotImplementedError`` (the k=2-only OFF_LOADING negotiation and
+sharded kernel).
+
 Usage::
 
     python scripts/check_layering.py        # exit 0 clean, 1 violations
@@ -136,6 +144,78 @@ MODULE_FORBIDDEN: dict[str, tuple[frozenset[str], str]] = {
 }
 
 
+#: names whose comparison with an integer literal forks the k-stream
+#: engine (see the module docstring)
+STREAM_COUNT_NAMES = frozenset({"n_streams", "k", "n_rem"})
+
+
+def _stream_count_name(node: ast.AST) -> str | None:
+    """``n_streams`` for ``n_streams``, ``x.n_streams`` and
+    ``getattr(x, "n_streams", ...)``; ``None`` for anything else."""
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+    ):
+        name = node.args[1].value
+    else:
+        return None
+    return name if name in STREAM_COUNT_NAMES else None
+
+
+def _is_int_literal(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _is_k2_only_guard(node: ast.If) -> bool:
+    """``if <...>.n_streams > 2:`` whose body raises NotImplementedError."""
+    test = node.test
+    if not (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.Gt)
+        and _stream_count_name(test.left) == "n_streams"
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value == 2
+    ):
+        return False
+    for stmt in node.body:
+        if isinstance(stmt, ast.Raise) and stmt.exc is not None:
+            exc = stmt.exc.func if isinstance(stmt.exc, ast.Call) else stmt.exc
+            if isinstance(exc, ast.Name) and exc.id == "NotImplementedError":
+                return True
+    return False
+
+
+def stream_fork_lines(source: str, filename: str = "<source>") -> list[int]:
+    """Line numbers comparing a stream count with an integer literal,
+    outside the sanctioned k=2-only guards."""
+    tree = ast.parse(source, filename=filename)
+    guards = {
+        id(node.test)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and _is_k2_only_guard(node)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or id(node) in guards:
+            continue
+        operands = [node.left, *node.comparators]
+        if any(_stream_count_name(o) for o in operands) and any(
+            _is_int_literal(o) for o in operands
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def _layer_of(path: pathlib.Path) -> str:
     """The top-level subpackage (or module stem) a file belongs to."""
     rel = path.relative_to(PACKAGE_ROOT)
@@ -186,13 +266,21 @@ def check() -> list[str]:
                 violations.append(
                     f"{rel}:{lineno}: repro.{layer} imports repro.{target}"
                 )
+    for path in sorted((PACKAGE_ROOT / "core").rglob("*.py")):
+        rel = path.relative_to(REPO_ROOT)
+        for lineno in stream_fork_lines(path.read_text(), str(path)):
+            violations.append(
+                f"{rel}:{lineno}: stream count compared with an integer "
+                "literal (repro.core keeps one k-stream code path; only an "
+                "`n_streams > 2` guard raising NotImplementedError may)"
+            )
     return violations
 
 
 def main() -> int:
     violations = check()
     if violations:
-        print("import layering violations:", file=sys.stderr)
+        print("layering violations:", file=sys.stderr)
         for v in violations:
             print(f"  {v}", file=sys.stderr)
         return 1
@@ -200,7 +288,7 @@ def main() -> int:
     m = len(MODULE_FORBIDDEN)
     print(
         f"layering check: OK ({n} constrained layers, "
-        f"{m} module rules, no violations)"
+        f"{m} module rules, one k-stream path, no violations)"
     )
     return 0
 

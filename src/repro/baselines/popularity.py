@@ -118,7 +118,7 @@ class PopularityPolicy(AllocationPolicy):
                 if len(pages):
                     allowed_mask = np.zeros(len(ctx.comp_objects), dtype=bool)
                     allowed_mask[ce] = np.isin(ctx.comp_objects[ce], stored_arr)
-                    marks, _, _ = partition_pages_batched(
+                    marks, _, _, _ = partition_pages_batched(
                         model, page_ids=pages, allowed_mask=allowed_mask
                     )
                     alloc.set_comp_local_bulk(marks.nonzero()[0], True)

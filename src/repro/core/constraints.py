@@ -81,25 +81,33 @@ def local_processing_load(alloc: Allocation) -> np.ndarray:
     return load
 
 
+def _remote_sets(alloc: Allocation, stream: int) -> tuple[np.ndarray, np.ndarray]:
+    """Compulsory / optional entry masks served by remote ``stream``.
+
+    A remote compulsory entry loads the stream it is assigned to; a
+    remote optional entry loads its cheapest stream.
+    """
+    ctx = alloc.ctx
+    sel = ~alloc.comp_local & (alloc.comp_stream == stream)
+    selo = ~alloc.opt_local & (ctx.opt_best_stream == stream)
+    return sel, selo
+
+
+def _stream_load(alloc: Allocation, stream: int) -> float:
+    """Requests/second hitting remote ``stream`` (Eq. 9 LHS at stream 1)."""
+    ctx = alloc.ctx
+    sel, selo = _remote_sets(alloc, stream)
+    return float(ctx.comp_freq[sel].sum()) + float(ctx.opt_freq_weight[selo].sum())
+
+
 def repository_load(alloc: Allocation) -> float:
     """Eq. 9 LHS (HTTP requests/second hitting the repository).
 
-    The repository is stream 1 of the k-stream topology.  At k>2 only
-    remote entries *assigned to stream 1* (and optional entries whose
-    cheapest stream is the repository) load it; the k=2 masks are
-    all-true over the remote entries, so the degenerate sums are the
-    pre-stream expressions verbatim.
+    The repository is stream 1 of the k-stream topology: only remote
+    entries assigned to it (and optional entries whose cheapest stream
+    it is) load it.
     """
-    ctx = alloc.ctx
-    if ctx.n_streams == 2:
-        comp = float(ctx.comp_freq[~alloc.comp_local].sum())
-        opt = float(ctx.opt_freq_weight[~alloc.opt_local].sum())
-    else:
-        sel = ~alloc.comp_local & (alloc.comp_stream == 1)
-        comp = float(ctx.comp_freq[sel].sum())
-        selo = ~alloc.opt_local & (ctx.opt_best_stream == 1)
-        opt = float(ctx.opt_freq_weight[selo].sum())
-    return comp + opt
+    return _stream_load(alloc, 1)
 
 
 def remote_stream_loads(alloc: Allocation) -> np.ndarray:
@@ -109,20 +117,9 @@ def remote_stream_loads(alloc: Allocation) -> np.ndarray:
     the Eq. 9 analogs for the extra replica-site streams — reporting
     aid for the replica-mesh scenarios.
     """
-    ctx = alloc.ctx
-    out = np.zeros(ctx.n_streams - 1)
-    rem = ~alloc.comp_local
-    remo = ~alloc.opt_local
-    for r in range(1, ctx.n_streams):
-        if ctx.n_streams == 2:
-            sel, selo = rem, remo
-        else:
-            sel = rem & (alloc.comp_stream == r)
-            selo = remo & (ctx.opt_best_stream == r)
-        out[r - 1] = float(ctx.comp_freq[sel].sum()) + float(
-            ctx.opt_freq_weight[selo].sum()
-        )
-    return out
+    return np.array(
+        [_stream_load(alloc, r) for r in range(1, alloc.ctx.n_streams)]
+    )
 
 
 def repository_load_by_server(alloc: Allocation) -> np.ndarray:
@@ -134,11 +131,7 @@ def repository_load_by_server(alloc: Allocation) -> np.ndarray:
     """
     ctx = alloc.ctx
     out = np.zeros(alloc.model.n_servers)
-    sel = ~alloc.comp_local
-    selo = ~alloc.opt_local
-    if ctx.n_streams > 2:
-        sel = sel & (alloc.comp_stream == 1)
-        selo = selo & (ctx.opt_best_stream == 1)
+    sel, selo = _remote_sets(alloc, 1)
     np.add.at(out, ctx.comp_server[sel], ctx.comp_freq[sel])
     np.add.at(out, ctx.opt_server[selo], ctx.opt_freq_weight[selo])
     return out

@@ -32,6 +32,7 @@ argument lives in DESIGN.md Appendix E).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
@@ -116,14 +117,12 @@ class ScalarViews:
 
     ovhd_local: list[float]
     spb_local: list[float]
-    ovhd_repo: list[float]
-    spb_repo: list[float]
     html: list[float]
     freq: list[float]
-    #: per-remote-stream views; element 0 is the repository stream and
-    #: shares the exact list objects of ``ovhd_repo`` / ``spb_repo``
-    ovhd_streams: tuple[list[float], ...] = ()
-    spb_streams: tuple[list[float], ...] = ()
+    #: per page, the overheads / seconds-per-byte of its k−1 remote
+    #: streams; element 0 of each row is the repository connection
+    ovhd_remote: list[list[float]]
+    spb_remote: list[list[float]]
 
 
 _CACHE_ATTR = "_repro_eval_context_cache"
@@ -428,9 +427,8 @@ class EvalContext:
         # the Eq. 3-5 local/repository pair).  Element 0 IS the
         # repository column — the same array objects as
         # ``page_spb_repo`` / ``page_ovhd_repo`` / ``opt_time_repo`` —
-        # so the degenerate k=2 topology adds no new arrays and every
-        # k=2 expression stays bit-identical to the pre-stream code.
-        self.n_streams = int(getattr(m, "n_streams", 2))
+        # so the paper's two-stream model is the one-element case.
+        self.n_streams = int(m.n_streams)
         spb_rows = [self.page_spb_repo]
         ovhd_rows = [self.page_ovhd_repo]
         opt_rows = [self.opt_time_repo]
@@ -443,38 +441,24 @@ class EvalContext:
         self.page_spb_streams = tuple(spb_rows)
         self.page_ovhd_streams = tuple(ovhd_rows)
         self.opt_time_streams = tuple(opt_rows)
-        if self.n_streams == 2:
-            # alias, not a copy: Eq. 6 consumers switching from
-            # ``opt_time_repo`` to ``opt_time_remote`` read the exact
-            # same array at k=2
-            self.opt_time_remote = self.opt_time_repo
-            self.opt_best_stream = np.ones(len(po), dtype=np.int8)
-        else:
-            stack = np.stack(opt_rows)
-            best = stack.argmin(axis=0)
-            self.opt_time_remote = stack[best, np.arange(stack.shape[1])]
-            self.opt_best_stream = (best + 1).astype(np.int8)
+        # Eq. 6 remote downloads take the cheapest stream (lowest index
+        # on ties); ``min`` returns one of its inputs exactly
+        stack = np.stack(opt_rows)
+        self.opt_time_remote = stack.min(axis=0)
+        self.opt_best_stream = (stack.argmin(axis=0) + 1).astype(np.int8)
 
         self.html_bytes_by_server = m.html_bytes_by_server()
         load = np.zeros(m.n_servers)
         np.add.at(load, srv, m.frequencies)
         self.html_request_load = load
 
-        ovhd_repo_list = self.page_ovhd_repo.tolist()
-        spb_repo_list = self.page_spb_repo.tolist()
         self.scalars = ScalarViews(
             ovhd_local=self.page_ovhd_local.tolist(),
             spb_local=self.page_spb_local.tolist(),
-            ovhd_repo=ovhd_repo_list,
-            spb_repo=spb_repo_list,
             html=m.html_sizes.tolist(),
             freq=m.frequencies.tolist(),
-            ovhd_streams=tuple(
-                [ovhd_repo_list] + [a.tolist() for a in ovhd_rows[1:]]
-            ),
-            spb_streams=tuple(
-                [spb_repo_list] + [a.tolist() for a in spb_rows[1:]]
-            ),
+            ovhd_remote=np.stack(ovhd_rows, axis=1).tolist(),
+            spb_remote=np.stack(spb_rows, axis=1).tolist(),
         )
 
         self._build_pair_table()
@@ -559,16 +543,8 @@ class EvalContext:
         load = np.zeros(m.n_servers)
         np.add.at(load, self.page_server, m.frequencies)
         self.html_request_load = load
-        old = self.scalars
-        self.scalars = ScalarViews(
-            ovhd_local=old.ovhd_local,
-            spb_local=old.spb_local,
-            ovhd_repo=old.ovhd_repo,
-            spb_repo=old.spb_repo,
-            html=old.html,
-            freq=m.frequencies.tolist(),
-            ovhd_streams=old.ovhd_streams,
-            spb_streams=old.spb_streams,
+        self.scalars = dataclasses.replace(
+            self.scalars, freq=m.frequencies.tolist()
         )
 
     # ------------------------------------------------------------------
@@ -658,10 +634,14 @@ class EvalContext:
         onto their engine (``"sharded"`` → ``"batched"``), so a sharded
         run never builds a third context.
         """
+        cache: dict[str, EvalContext] | None = getattr(model, _CACHE_ATTR, None)
+        if cache is not None and kernel in cache and _CACHE_ENABLED[0]:
+            # hot path of the per-page scalar kernels: an engine name
+            # already cached needs no validation
+            return cache[kernel]
         kern = engine_kernel(resolve_kernel(kernel))
         if not _CACHE_ENABLED[0]:
             return cls(model, kern)
-        cache: dict[str, EvalContext] | None = getattr(model, _CACHE_ATTR, None)
         if cache is None:
             cache = {}
             setattr(model, _CACHE_ATTR, cache)
@@ -789,39 +769,24 @@ class IncrementalObjective:
         evaluator — the escape hatch that clears accumulated drift.
         """
         c = self.ctx
-        k = c.n_streams
         sel = self.comp_local
         self._lb = np.bincount(
             c.comp_pages[sel], weights=c.comp_sizes[sel], minlength=c.n_pages
         )
-        local = c.page_ovhd_local + c.page_spb_local * (c.html_sizes + self._lb)
-        if k == 2:
-            self._rb = np.bincount(
-                c.comp_pages[~sel], weights=c.comp_sizes[~sel], minlength=c.n_pages
+        page_t = c.page_ovhd_local + c.page_spb_local * (c.html_sizes + self._lb)
+        rem = ~sel
+        rb_rows = []
+        for r in range(1, c.n_streams):
+            sel_r = rem & (self.comp_stream == r)
+            rb = np.bincount(
+                c.comp_pages[sel_r], weights=c.comp_sizes[sel_r], minlength=c.n_pages
             )
-            remote = c.page_ovhd_repo + c.page_spb_repo * self._rb
-            self._page_t = np.maximum(local, remote)
-            self._rb_streams = (self._rb,)
-        else:
-            rem = ~sel
-            rb_rows = []
-            page_t = local
-            for r in range(1, k):
-                sel_r = rem & (self.comp_stream == r)
-                rb = np.bincount(
-                    c.comp_pages[sel_r],
-                    weights=c.comp_sizes[sel_r],
-                    minlength=c.n_pages,
-                )
-                rb_rows.append(rb)
-                page_t = np.maximum(
-                    page_t,
-                    c.page_ovhd_streams[r - 1]
-                    + c.page_spb_streams[r - 1] * rb,
-                )
-            self._rb_streams = tuple(rb_rows)
-            self._rb = rb_rows[0]
-            self._page_t = page_t
+            rb_rows.append(rb)
+            page_t = np.maximum(
+                page_t, c.page_ovhd_streams[r - 1] + c.page_spb_streams[r - 1] * rb
+            )
+        self._rb_streams = tuple(rb_rows)
+        self._page_t = page_t
         per_entry = np.where(self.opt_local, c.opt_time_local, c.opt_time_remote)
         self._opt_base = np.bincount(
             c.opt_pages, weights=c.opt_probs * per_entry, minlength=c.n_pages
@@ -884,55 +849,33 @@ class IncrementalObjective:
         if len(changed) == 0:
             return self.D
         c = self.ctx
-        k = c.n_streams
         pages = c.comp_pages[changed]
         sizes = c.comp_sizes[changed]
-        if k == 2:
-            self.comp_local[changed] = to_local
-            sign = 1.0 if to_local else -1.0
-            np.add.at(self._lb, pages, sign * sizes)
-            np.add.at(self._rb, pages, -sign * sizes)
-            up = np.unique(pages)
-            local = c.page_ovhd_local[up] + c.page_spb_local[up] * (
-                c.html_sizes[up] + self._lb[up]
-            )
-            remote = c.page_ovhd_repo[up] + c.page_spb_repo[up] * self._rb[up]
-            new_t = np.maximum(local, remote)
+        if to_local:
+            moved = self.comp_stream[changed]
+            sign = -1.0
         else:
-            if to_local:
-                src = self.comp_stream[changed]
-                self.comp_local[changed] = True
-                np.add.at(self._lb, pages, sizes)
-                for r in range(1, k):
-                    on_r = src == r
-                    if on_r.any():
-                        np.add.at(
-                            self._rb_streams[r - 1], pages[on_r], -sizes[on_r]
-                        )
-            else:
-                if streams is None:
-                    tgt = np.ones(len(changed), dtype=np.int8)
-                else:
-                    tgt = np.asarray(streams, dtype=np.int8)[idx]
-                self.comp_local[changed] = False
-                self.comp_stream[changed] = tgt
-                np.add.at(self._lb, pages, -sizes)
-                for r in range(1, k):
-                    on_r = tgt == r
-                    if on_r.any():
-                        np.add.at(
-                            self._rb_streams[r - 1], pages[on_r], sizes[on_r]
-                        )
-            up = np.unique(pages)
-            new_t = c.page_ovhd_local[up] + c.page_spb_local[up] * (
-                c.html_sizes[up] + self._lb[up]
+            moved = (
+                np.ones(len(changed), dtype=np.int8)
+                if streams is None
+                else np.asarray(streams, dtype=np.int8)[idx]
             )
-            for r in range(1, k):
-                new_t = np.maximum(
-                    new_t,
-                    c.page_ovhd_streams[r - 1][up]
-                    + c.page_spb_streams[r - 1][up] * self._rb_streams[r - 1][up],
-                )
+            self.comp_stream[changed] = moved
+            sign = 1.0
+        self.comp_local[changed] = to_local
+        np.add.at(self._lb, pages, -sign * sizes)
+        for r, rb in enumerate(self._rb_streams, 1):
+            on_r = moved == r
+            np.add.at(rb, pages[on_r], sign * sizes[on_r])
+        up = np.unique(pages)
+        new_t = c.page_ovhd_local[up] + c.page_spb_local[up] * (
+            c.html_sizes[up] + self._lb[up]
+        )
+        for r, rb in enumerate(self._rb_streams, 1):
+            new_t = np.maximum(
+                new_t,
+                c.page_ovhd_streams[r - 1][up] + c.page_spb_streams[r - 1][up] * rb[up],
+            )
         self._d1 += float(np.dot(c.frequencies[up], new_t - self._page_t[up]))
         self._page_t[up] = new_t
         return self._bump()

@@ -44,10 +44,6 @@ from repro.core.types import SystemModel
 
 __all__ = ["PageTimes", "CostModel"]
 
-# Backwards-compatible alias: the per-page plain-list views now live in
-# repro.core.context (shared by every consumer, not private to CostModel).
-_ScalarViews = ScalarViews
-
 
 @dataclass(frozen=True)
 class PageTimes:
@@ -70,15 +66,14 @@ class PageTimes:
         ``Time(W_j, M)`` — expected optional-object time (Eq. 6).
     by_stream:
         Per-remote-stream times, ``by_stream[r-1]`` being stream ``r``'s
-        Eq. 4 analog.  ``None`` on the degenerate k=2 evaluation (where
-        ``remote`` already is the single repository stream).
+        Eq. 4 analog.
     """
 
     local: np.ndarray
     remote: np.ndarray
     page: np.ndarray
     optional: np.ndarray
-    by_stream: tuple[np.ndarray, ...] | None = None
+    by_stream: tuple[np.ndarray, ...] = ()
 
 
 class CostModel:
@@ -121,8 +116,8 @@ class CostModel:
         #: per-optional-entry single-download times (Eq. 6): local vs repo
         self.opt_time_local = ctx.opt_time_local
         self.opt_time_repo = ctx.opt_time_repo
-        #: best remote single-download time — IS ``opt_time_repo`` at
-        #: k=2, the min over the k−1 remote streams otherwise
+        #: best remote single-download time: the min over the k−1 remote
+        #: streams (the repository's time in the two-stream model)
         self.opt_time_remote = ctx.opt_time_remote
         #: expected weight of each optional entry: f(W_j)·scale·U'_jk
         self.opt_freq_weight = ctx.opt_freq_weight
@@ -158,20 +153,11 @@ class CostModel:
     ) -> tuple[np.ndarray, ...]:
         """Per-page remote byte totals split by owning stream.
 
-        Element ``r-1`` is stream ``r``'s total.  At k=2 every remote
-        entry is on the repository stream, so this is the one-element
-        tuple ``(remote_mo_bytes(alloc),)`` computed identically.
+        Element ``r-1`` is stream ``r``'s total; the paper's two-stream
+        model gives the one-element tuple ``(remote_mo_bytes(alloc),)``.
         """
         m = self.model
         rem = ~alloc.comp_local
-        if self.n_streams == 2:
-            return (
-                np.bincount(
-                    m.comp_pages[rem],
-                    weights=self.comp_sizes[rem],
-                    minlength=m.n_pages,
-                ),
-            )
         return tuple(
             np.bincount(
                 m.comp_pages[sel_r],
@@ -185,17 +171,6 @@ class CostModel:
     # ------------------------------------------------------------------
     # Eq. 3-6
     # ------------------------------------------------------------------
-    def stream_times(
-        self, local_mo_bytes: np.ndarray, remote_mo_bytes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Eq. 3 and Eq. 4 from per-page byte totals."""
-        m = self.model
-        local = self.page_ovhd_local + self.page_spb_local * (
-            m.html_sizes + local_mo_bytes
-        )
-        remote = self.page_ovhd_repo + self.page_spb_repo * remote_mo_bytes
-        return local, remote
-
     def optional_times(self, alloc: Allocation) -> np.ndarray:
         """Eq. 6 per page: expected optional download time per view.
 
@@ -212,15 +187,6 @@ class CostModel:
 
     def page_times(self, alloc: Allocation) -> PageTimes:
         """Full per-page decomposition (Eq. 3-6)."""
-        if self.n_streams == 2:
-            local, remote = self.stream_times(
-                self.local_mo_bytes(alloc), self.remote_mo_bytes(alloc)
-            )
-            page = np.maximum(local, remote)
-            optional = self.optional_times(alloc)
-            return PageTimes(
-                local=local, remote=remote, page=page, optional=optional
-            )
         ctx = self.ctx
         m = self.model
         local = self.page_ovhd_local + self.page_spb_local * (
@@ -233,13 +199,11 @@ class CostModel:
         remote = by_stream[0]
         for t in by_stream[1:]:
             remote = np.maximum(remote, t)
-        page = np.maximum(local, remote)
-        optional = self.optional_times(alloc)
         return PageTimes(
             local=local,
             remote=remote,
-            page=page,
-            optional=optional,
+            page=np.maximum(local, remote),
+            optional=self.optional_times(alloc),
             by_stream=by_stream,
         )
 
@@ -284,33 +248,21 @@ class CostModel:
         return self.ctx.scalars
 
     def page_time_from_bytes(
-        self, page_id: int, local_mo_bytes: float, remote_mo_bytes: float
+        self, page_id: int, local_mo_bytes: float, *stream_bytes: float
     ) -> float:
-        """Eq. 5 for a single page given its stream byte totals."""
-        s = self.scalars
-        tl = s.ovhd_local[page_id] + s.spb_local[page_id] * (
-            s.html[page_id] + local_mo_bytes
-        )
-        tr = s.ovhd_repo[page_id] + s.spb_repo[page_id] * remote_mo_bytes
-        return tl if tl >= tr else tr
+        """Eq. 5 over k streams for one page given its byte totals.
 
-    def page_time_from_stream_bytes(
-        self, page_id: int, local_mo_bytes: float, stream_bytes
-    ) -> float:
-        """Eq. 5 over k streams for one page.
-
-        ``stream_bytes[r-1]`` is stream ``r``'s byte total.  With a
-        single remote stream this runs the exact expression sequence of
-        :meth:`page_time_from_bytes`.
+        ``stream_bytes[r-1]`` is remote stream ``r``'s byte total (one
+        value, the repository's, in the paper's two-stream model).
         """
-        s = self.scalars
+        s = self.ctx.scalars
         t = s.ovhd_local[page_id] + s.spb_local[page_id] * (
             s.html[page_id] + local_mo_bytes
         )
         for ovhd_r, spb_r, rb in zip(
-            s.ovhd_streams, s.spb_streams, stream_bytes
+            s.ovhd_remote[page_id], s.spb_remote[page_id], stream_bytes
         ):
-            tr = ovhd_r[page_id] + spb_r[page_id] * rb
+            tr = ovhd_r + spb_r * rb
             if tr > t:
                 t = tr
         return t
@@ -331,45 +283,24 @@ class CostModel:
         self,
         page_ids: np.ndarray,
         local_mo_bytes: np.ndarray,
-        remote_mo_bytes: np.ndarray,
+        *stream_bytes: np.ndarray,
     ) -> np.ndarray:
-        """Eq. 5 for many (page, byte-total) tuples at once.
+        """Vectorised :meth:`page_time_from_bytes` over many pages.
 
-        Bit-identical to mapping :meth:`page_time_from_bytes` over the
-        inputs: the expression trees match term for term, and for the
-        finite nonnegative stream times ``np.maximum`` picks the same
-        value as the scalar ``tl if tl >= tr else tr`` branch.
-        """
-        tl = self.page_ovhd_local[page_ids] + self.page_spb_local[page_ids] * (
-            self.model.html_sizes[page_ids] + local_mo_bytes
-        )
-        tr = (
-            self.page_ovhd_repo[page_ids]
-            + self.page_spb_repo[page_ids] * remote_mo_bytes
-        )
-        return np.maximum(tl, tr)
-
-    def bulk_page_time_from_stream_bytes(
-        self,
-        page_ids: np.ndarray,
-        local_mo_bytes: np.ndarray,
-        stream_bytes,
-    ) -> np.ndarray:
-        """Vectorised :meth:`page_time_from_stream_bytes`.
-
-        ``stream_bytes`` is a sequence of k−1 arrays aligned with
-        ``page_ids``.  With one remote stream this is term-for-term the
-        :meth:`bulk_page_time_from_bytes` expression tree.
+        Bit-identical to mapping the scalar form over the inputs: the
+        expression trees match term for term, and for the finite
+        nonnegative stream times ``np.maximum`` picks the same value as
+        the scalar ``if tr > t`` branch.
         """
         ctx = self.ctx
         t = self.page_ovhd_local[page_ids] + self.page_spb_local[page_ids] * (
             self.model.html_sizes[page_ids] + local_mo_bytes
         )
-        for r, rb in enumerate(stream_bytes, 1):
+        for r, rb in enumerate(stream_bytes):
             t = np.maximum(
                 t,
-                ctx.page_ovhd_streams[r - 1][page_ids]
-                + ctx.page_spb_streams[r - 1][page_ids] * rb,
+                ctx.page_ovhd_streams[r][page_ids]
+                + ctx.page_spb_streams[r][page_ids] * rb,
             )
         return t
 

@@ -1,18 +1,17 @@
 """Batched greedy-restoration engines (the ``kernel="batched"`` path).
 
-The Section 4.2 greedy loops (storage restoration, processing
-restoration, and OFF_LOADING's server-side absorption) are specified in
-:mod:`repro.core.restoration` / :mod:`repro.core.offload` as scalar
-reference implementations built on a lazily-revalidated ``heapq``: every
+The Section 4.2 restoration loops (storage and processing) are
+specified in :mod:`repro.core.restoration` as scalar reference
+implementations built on a lazily-revalidated ``heapq``: every
 candidate action is pushed with its score, and each pop recomputes the
 candidate's score against current state — stale entries are reinserted,
 fresh ones accepted.  At paper scale one restoration run performs ~10^6
 heap operations and ~10^6 scalar Eq. 3-5 evaluations.
 
 This module re-implements those loops on flat NumPy arrays while
-producing **bit-identical decision sequences** — every eviction, switch
-and absorption happens for the same candidate with the same score and
-the same tie-break as the scalar path.  Two ideas make that possible:
+producing **bit-identical decision sequences** — every eviction and
+switch happens for the same candidate with the same score and the same
+tie-break as the scalar path.  Two ideas make that possible:
 
 1. **Dirty-slice rescoring.**  Fresh scores live in a dense ``f`` array
    indexed by candidate key.  An action only perturbs the scores of
@@ -42,19 +41,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.constraints import local_processing_load, storage_used
+from repro.core.constraints import local_processing_load
 from repro.core.cost_model import CostModel
-from repro.core.fast_partition import (
-    partition_pages_batched,
-    partition_pages_multipath,
-)
-from repro.core.partition import partition_page, partition_page_streams
+from repro.core.fast_partition import partition_pages_batched
+from repro.core.partition import partition_page
 
 __all__ = [
     "VectorLazyHeap",
     "restore_storage_batched",
     "restore_processing_batched",
-    "absorb_extra_workload_batched",
 ]
 
 #: kept in lockstep with ``restoration._TOL`` / ``offload._TOL``
@@ -84,9 +79,8 @@ class VectorLazyHeap:
     Dead entries can never be accepted and are invisible to every
     decision the scalar heap makes, so the reserve drops them whenever a
     merge or refill touches them anyway — the multiset of *live*
-    entries, and hence the pop sequence, is untouched.  OFF_LOADING
-    reanimates keys (``_try_make_room`` un-marks victims) and therefore
-    must not pass it.
+    entries, and hence the pop sequence, is untouched.  A caller whose
+    keys can come back to life must not pass it.
 
     ``pop_round`` performs one full ``pop_valid`` equivalent: given the
     current fresh-score array ``f`` and aliveness mask, it returns the
@@ -437,34 +431,52 @@ def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return idx, owner
 
 
-def _group_by_object(
-    entry_ids: np.ndarray, objects: np.ndarray, n_objects: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group a server's flat entries by object id.
-
-    Returns (entries sorted by object — ascending entry id within each
-    object, matching ``ReverseIndex`` —, per-object start, per-object
-    count)."""
-    order = np.argsort(objects, kind="stable")
-    grouped_entries = entry_ids[order]
-    grouped_objs = objects[order]
-    starts = np.zeros(n_objects, dtype=np.intp)
-    counts = np.zeros(n_objects, dtype=np.intp)
-    if len(grouped_objs):
-        edge = np.empty(len(grouped_objs), dtype=bool)
-        edge[0] = True
-        np.not_equal(grouped_objs[1:], grouped_objs[:-1], out=edge[1:])
-        first = np.flatnonzero(edge)
-        uniq = grouped_objs[first]
-        starts[uniq] = first
-        counts[uniq] = np.diff(np.append(first, len(grouped_objs)))
-    return grouped_entries, starts, counts
-
-
 def _bump(counters: dict | None, n: int) -> None:
     if counters is not None and n:
         counters["batches"] = counters.get("batches", 0) + 1
         counters["candidates"] = counters.get("candidates", 0) + n
+
+
+def _moved_remote_times(tl, tl2, ovhds, spbs, rbs, sz):
+    """Page times before and after moving ``sz`` bytes off the local
+    stream onto the remote stream that ends up shortest.
+
+    ``tl``/``tl2`` are the local stream times before/after the move;
+    ``ovhds``/``spbs``/``rbs`` hold one array per remote stream (overhead,
+    seconds-per-byte, byte total).  Each stream's after-move time is >=
+    its before-move time (sizes and seconds-per-byte are positive, and
+    IEEE add and multiply are monotone), so the receiving stream's new
+    time is the minimum after-time and the new remote max is
+    ``max(best after-time, old remote max)`` — exact, with no argmin or
+    scatter.  With one remote stream that max is the after-time itself.
+    """
+    rem_old = best2 = None
+    for ovr, spr, rb in zip(ovhds, spbs, rbs):
+        tr = ovr + spr * rb
+        tr2 = ovr + spr * (rb + sz)
+        if rem_old is None:
+            rem_old, best2 = tr, tr2
+        else:
+            np.maximum(rem_old, tr, out=rem_old)
+            np.minimum(best2, tr2, out=best2)
+    # the temporaries above are private, so the maxima reuse them
+    np.maximum(best2, rem_old, out=best2)
+    return np.maximum(tl, rem_old, out=rem_old), np.maximum(tl2, best2, out=best2)
+
+
+def _best_stream(scalars, RBs: list[np.ndarray], j: int, size: float) -> int:
+    """0-based remote stream of page ``j`` with the lowest time after
+    receiving ``size`` bytes; a later stream must be strictly shorter
+    (the scalar ``_PageState.best_stream`` rule)."""
+    ovhds = scalars.ovhd_remote[j]
+    spbs = scalars.spb_remote[j]
+    best = 0
+    best_t = ovhds[0] + spbs[0] * (RBs[0].item(j) + size)
+    for r in range(1, len(RBs)):
+        t = ovhds[r] + spbs[r] * (RBs[r].item(j) + size)
+        if t < best_t:
+            best, best_t = r, t
+    return best
 
 
 # ----------------------------------------------------------------------
@@ -486,27 +498,22 @@ class _EvictionScorer:
         m = alloc.model
         self.m = m
         ctx = alloc.ctx
-        self.n_rem = ctx.n_streams - 1
         # the per-server object-grouped CSR tables live in the shared
-        # EvalContext (same layout _group_by_object produced per phase)
+        # EvalContext
         self.ce, self.cstarts, self.ccounts = ctx.comp_group(server_id)
         pg = ctx.comp_pages[self.ce].astype(np.intp)
         self.pg = pg
-        # rows: ovhd_l, spb_l, [ovhd_r, spb_r per remote stream],
-        # html, alpha1*freq, size — the k=2 layout is the classic
-        # 7-row [ovhd_l, spb_l, ovhd_repo, spb_repo, html, a1f, sz]
-        # because stream 1's columns alias the repository's.
-        rows = [ctx.page_ovhd_local[pg], ctx.page_spb_local[pg]]
-        for r in range(self.n_rem):
-            rows.append(ctx.page_ovhd_streams[r][pg])
-            rows.append(ctx.page_spb_streams[r][pg])
-        rows.extend(
-            [
-                ctx.html_sizes[pg],
-                cost.alpha1 * ctx.comp_freq[self.ce],
-                ctx.comp_sizes[self.ce],
-            ]
-        )
+        # rows: ovhd_l, spb_l, html, alpha1*freq, size, then ovhd_r and
+        # spb_r of every remote stream r
+        rows = [
+            ctx.page_ovhd_local[pg],
+            ctx.page_spb_local[pg],
+            ctx.html_sizes[pg],
+            cost.alpha1 * ctx.comp_freq[self.ce],
+            ctx.comp_sizes[self.ce],
+        ]
+        for ov, sp in zip(ctx.page_ovhd_streams, ctx.page_spb_streams):
+            rows += [ov[pg], sp[pg]]
         self.attrs = np.vstack(rows)
         self.oe, self.ostarts, self.ocounts = ctx.opt_group(server_id)
         self.oterm = cost.bulk_optional_entry_delta(self.oe, to_local=False)
@@ -532,11 +539,9 @@ class _EvictionScorer:
     ) -> np.ndarray:
         """Fresh eviction scores for candidate objects ``cand``.
 
-        ``RBs[r-1]`` is stream ``r``'s per-page byte totals; at k=2 the
-        one-element list runs the classic two-stream expressions.  At
-        k>2 each marked entry is scored as moving to the remote stream
-        that ends up shortest after receiving it (the scalar
-        ``best_stream`` rule, ties to the lowest index).
+        ``RBs[r-1]`` is stream ``r``'s per-page byte totals.  Each
+        marked entry is scored as moving to the remote stream that ends
+        up shortest after receiving it (see :func:`_moved_remote_times`).
         """
         idx, owner = _expand(self.cstarts[cand], self.ccounts[cand])
         if len(idx):
@@ -545,30 +550,13 @@ class _EvictionScorer:
             owner = owner[mk]
         pg = self.pg[idx]
         A = self.attrs[:, idx]
-        ovl, spl = A[0], A[1]
-        html, a1f, sz = A[-3], A[-2], A[-1]
+        ovl, spl, html, a1f, sz = A[:5]
         lb = LB[pg]
         tl = ovl + spl * (html + lb)
         tl2 = ovl + spl * (html + (lb - sz))
-        if self.n_rem == 1:
-            ovr, spr = A[2], A[3]
-            rb = RBs[0][pg]
-            tr = ovr + spr * rb
-            old = np.maximum(tl, tr)
-            tr2 = ovr + spr * (rb + sz)
-            new = np.maximum(tl2, tr2)
-        else:
-            T = np.empty((self.n_rem, len(idx)))
-            T2 = np.empty_like(T)
-            for r in range(self.n_rem):
-                rb = RBs[r][pg]
-                T[r] = A[2 + 2 * r] + A[3 + 2 * r] * rb
-                T2[r] = A[2 + 2 * r] + A[3 + 2 * r] * (rb + sz)
-            old = np.maximum(tl, T.max(axis=0)) if len(idx) else tl
-            best = T2.argmin(axis=0)
-            ar = np.arange(T.shape[1])
-            T[best, ar] = T2[best, ar]
-            new = np.maximum(tl2, T.max(axis=0)) if len(idx) else tl2
+        old, new = _moved_remote_times(
+            tl, tl2, A[5::2], A[6::2], [RB[pg] for RB in RBs], sz
+        )
         wc = a1f * (new - old)
         ocounts = self.ocounts[cand]
         if ocounts.any():
@@ -597,7 +585,7 @@ def restore_storage_batched(
     cost: CostModel,
     server_id: int,
     amortise: bool = True,
-    batch_min_pages: int = 8,
+    batch_min_pages: int = 64,
     counters: dict | None = None,
 ):
     """Batched twin of ``restoration._restore_storage_one_server``.
@@ -631,21 +619,16 @@ def restore_storage_batched(
         )
 
     scorer = _EvictionScorer(cost, alloc, server_id)
-    ctx = alloc.ctx
-    n_rem = ctx.n_streams - 1
+    scal = alloc.ctx.scalars
     LB = cost.local_mo_bytes(alloc)
-    if n_rem == 1:
-        RB = cost.remote_mo_bytes(alloc)
-        RBs = [RB]
-    else:
-        RBs = list(cost.remote_mo_bytes_by_stream(alloc))
-        RB = RBs[0]
+    RBs = list(cost.remote_mo_bytes_by_stream(alloc))
     comp_stream = alloc.comp_stream
     comp_local = alloc.comp_local
     opt_local = alloc.opt_local
     sizes_list = m.sizes.tolist()
     comp_objects = m.comp_objects
     comp_indptr = m.comp_indptr
+    indptr = m.fast_comp[3]
 
     n_obj = len(m.sizes)
     f = np.zeros(n_obj)
@@ -681,104 +664,68 @@ def restore_storage_batched(
         f[karr] = vals
         heap.push_batch(vals, karr)
 
-    def prepare_repartition(j: int, marks: np.ndarray, streams=None):
-        """Diff ``marks`` against the current page state without mutating
-        anything.  Page slices are disjoint, so every page of one
-        eviction can be diffed up front — the state each diff sees is
-        the same one the scalar interleaved flip/diff sequence sees.
+    def prepare_repartition(j: int, marks: np.ndarray, streams: np.ndarray):
+        """Diff the page's re-partitioned ``marks``/``streams`` against its
+        current state without mutating anything.  Page slices are
+        disjoint, so every page of one eviction can be diffed up front —
+        the state each diff sees is the same one the scalar interleaved
+        flip/diff sequence sees.
 
-        At k>2 ``streams`` is the page's re-partitioned stream vector; a
-        remote entry that merely hops streams counts as a change (its
+        A remote entry that merely hops streams counts as a change (its
         page's stream totals shift) but does not enter the stale set —
         matching the scalar ``apply_repartition``.
         """
-        sl = m.comp_slice(j)
-        marks = np.asarray(marks, dtype=bool)
-        cur = comp_local[sl.start : sl.stop]
-        diff = cur != marks
-        offs = diff.nonzero()[0]
-        hops = False
-        if streams is not None:
-            hops = bool(
-                np.any(
-                    ~cur
-                    & ~marks
-                    & (comp_stream[sl.start : sl.stop] != streams)
-                )
-            )
-        if not len(offs) and not hops:
+        start, stop = indptr[j], indptr[j + 1]
+        cur = comp_local[start:stop]
+        local_either = cur | marks
+        changed = cur != marks
+        cur_streams = comp_stream[start:stop]
+        if cur_streams.tobytes() != streams.tobytes():
+            # some entry's stream differs: remote-to-remote hops count
+            changed |= ~local_either & (cur_streams != streams)
+        offs = changed.nonzero()[0]
+        if not len(offs):
             return None  # scalar: ``changed`` stays False, nothing pushed
-        objs_page = comp_objects[sl.start : sl.stop]
+        objs_page = comp_objects[start:stop]
         # stale set built with the scalar insertion sequence (ascending
         # offsets, flipped-or-still-marked); iteration below replays the
         # scalar's hash-order walk, so it must stay a real set
-        stale = set(objs_page[(diff | marks).nonzero()[0]].tolist())
+        stale = set(objs_page[local_either.nonzero()[0]].tolist())
         push_keys = [k2 for k2 in stale if k2 in replicas]
         return (
-            j,
-            sl.start,
-            offs,
-            objs_page[offs],
-            marks[offs],
-            stale,
-            push_keys,
-            marks if streams is not None else None,
-            streams,
+            j, start, offs, objs_page[offs], marks[offs], streams[offs],
+            stale, push_keys,
         )
 
     def apply_flips(plan) -> None:
-        j, start, offs, flip_objs, flip_new, stale, _, marks_page, streams_page = plan
-        if streams_page is None:
-            # flips in ascending entry order through the per-entry
-            # setter, accumulating the byte totals one move at a time —
-            # the scalar float-op sequence exactly
-            lb = LB[j]
-            rb = RB[j]
-            for off, k2, newv in zip(
-                offs.tolist(), flip_objs.tolist(), flip_new.tolist()
-            ):
-                size2 = sizes_list[k2]
-                if newv:
-                    alloc.set_comp_local(start + off, True)
-                    lb += size2
-                    rb -= size2
-                else:
-                    alloc.set_comp_local(start + off, False)
-                    lb -= size2
-                    rb += size2
-            LB[j] = lb
+        """Mark flips and stream hops in ascending entry order, through
+        the per-entry setter, accumulating the byte totals one move at a
+        time — the scalar ``apply_repartition`` float-op sequence."""
+        j, start, offs, objs, new_marks, new_streams, stale, _ = plan
+        lb = LB[j]
+        rbs = [RB[j] for RB in RBs]
+        for off, k2, newv, r in zip(
+            offs.tolist(), objs.tolist(), new_marks.tolist(), new_streams.tolist()
+        ):
+            e = start + off
+            size2 = sizes_list[k2]
+            r_old = int(comp_stream[e])
+            if newv:
+                alloc.set_comp_local(e, True)
+                lb += size2
+                rbs[r_old - 1] -= size2
+                continue
+            if comp_local[e]:
+                alloc.set_comp_local(e, False)
+                lb -= size2
+            else:
+                rbs[r_old - 1] -= size2
+            rbs[r - 1] += size2
+            if r != r_old:
+                comp_stream[e] = r
+        LB[j] = lb
+        for RB, rb in zip(RBs, rbs):
             RB[j] = rb
-        else:
-            # k>2: one ascending walk interleaving mark flips and stream
-            # hops, replaying the scalar ``apply_repartition`` loop
-            lb = LB[j]
-            for off in range(len(marks_page)):
-                e = start + off
-                newv = bool(marks_page[off])
-                if bool(comp_local[e]) != newv:
-                    k2 = int(comp_objects[e])
-                    size2 = sizes_list[k2]
-                    if newv:
-                        r_old = int(comp_stream[e])
-                        alloc.set_comp_local(e, True)
-                        lb += size2
-                        RBs[r_old - 1][j] -= size2
-                    else:
-                        r = int(streams_page[off])
-                        alloc.set_comp_local(e, False)
-                        comp_stream[e] = r
-                        lb -= size2
-                        RBs[r - 1][j] += size2
-                elif not newv:
-                    r_old = int(comp_stream[e])
-                    r = int(streams_page[off])
-                    if r_old != r:
-                        k2 = int(comp_objects[e])
-                        size2 = sizes_list[k2]
-                        RBs[r_old - 1][j] -= size2
-                        RBs[r - 1][j] += size2
-                        comp_stream[e] = r
-            LB[j] = lb
         stats.repartitioned_pages += 1
         # the pushed entries carry full fresh scores, so pending dirt on
         # these candidates is settled
@@ -786,34 +733,18 @@ def restore_storage_batched(
 
     def repartition_flipped(pages: list[int]) -> None:
         if len(pages) >= batch_min_pages:
-            if n_rem > 1:
-                batch_marks, batch_streams, _, _ = partition_pages_multipath(
-                    m, page_ids=pages, allowed_mask=allowed_mask
-                )
-                plans = []
-                for j in pages:
-                    sl = m.comp_slice(j)
-                    plans.append(
-                        prepare_repartition(
-                            j, batch_marks[sl], batch_streams[sl]
-                        )
-                    )
-            else:
-                batch_marks, _, _ = partition_pages_batched(
-                    m, page_ids=pages, allowed_mask=allowed_mask
-                )
-                plans = [
-                    prepare_repartition(j, batch_marks[m.comp_slice(j)])
-                    for j in pages
-                ]
-        elif n_rem > 1:
+            batch_marks, batch_streams, _, _ = partition_pages_batched(
+                m, page_ids=pages, allowed_mask=allowed_mask
+            )
             plans = []
             for j in pages:
-                pm, ps, _, _ = partition_page_streams(m, j, allowed=replicas)
-                plans.append(prepare_repartition(j, pm, ps))
+                sl = m.comp_slice(j)
+                plans.append(
+                    prepare_repartition(j, batch_marks[sl], batch_streams[sl])
+                )
         else:
             plans = [
-                prepare_repartition(j, partition_page(m, j, allowed=replicas)[0])
+                prepare_repartition(j, *partition_page(m, j, allowed=replicas)[:2])
                 for j in pages
             ]
         plans = [p for p in plans if p is not None]
@@ -830,7 +761,7 @@ def restore_storage_batched(
         if len(plans) > 1:
             seen: set[int] = set()
             for plan in plans:
-                for k2 in plan[6]:
+                for k2 in plan[7]:
                     if k2 in seen:
                         disjoint = False
                         break
@@ -840,14 +771,14 @@ def restore_storage_batched(
         if disjoint:
             for plan in plans:
                 apply_flips(plan)
-            all_keys = [k2 for plan in plans for k2 in plan[6]]
+            all_keys = [k2 for plan in plans for k2 in plan[7]]
             if all_keys:
                 flush_batch(all_keys)
         else:
             for plan in plans:
                 apply_flips(plan)
-                if plan[6]:
-                    flush_batch(plan[6])
+                if plan[7]:
+                    flush_batch(plan[7])
 
     while used > capacity + _TOL:
         popped = heap.pop_round(f, replica_mask, _TOL, dirty, rescore)
@@ -864,27 +795,12 @@ def restore_storage_batched(
         flip_e = comp_e[marked]
         flip_pages = m.comp_pages[flip_e]
         flipped_pages = flip_pages.tolist()
-        if n_rem == 1:
-            for e, j in zip(flip_e.tolist(), flipped_pages):
-                alloc.set_comp_local(e, False)
-                LB[j] -= size
-                RB[j] += size
-        else:
-            for e, j in zip(flip_e.tolist(), flipped_pages):
-                alloc.set_comp_local(e, False)
-                # scalar best_stream rule: lowest time after +size wins,
-                # ties to the lowest stream index
-                best = 0
-                best_t = None
-                for r in range(n_rem):
-                    t = ctx.page_ovhd_streams[r][j] + ctx.page_spb_streams[
-                        r
-                    ][j] * (RBs[r][j] + size)
-                    if best_t is None or t < best_t:
-                        best, best_t = r, t
-                comp_stream[e] = best + 1
-                LB[j] -= size
-                RBs[best][j] += size
+        for e, j in zip(flip_e.tolist(), flipped_pages):
+            alloc.set_comp_local(e, False)
+            r = _best_stream(scal, RBs, j, size)
+            comp_stream[e] = r + 1
+            LB[j] -= size
+            RBs[r][j] += size
         opt_e = scorer.opt_entries(k)
         for e in opt_e[opt_local[opt_e]].tolist():
             alloc.set_opt_local(e, False)
@@ -939,14 +855,8 @@ def restore_processing_batched(
         )
 
     ctx = alloc.ctx
-    n_rem = ctx.n_streams - 1
     LB = cost.local_mo_bytes(alloc)
-    if n_rem == 1:
-        RB = cost.remote_mo_bytes(alloc)
-        RBs = [RB]
-    else:
-        RBs = list(cost.remote_mo_bytes_by_stream(alloc))
-        RB = RBs[0]
+    RBs = list(cost.remote_mo_bytes_by_stream(alloc))
     comp_stream = alloc.comp_stream
     NC = len(m.comp_objects)
     n_keys = NC + len(m.opt_objects)
@@ -956,32 +866,22 @@ def restore_processing_batched(
     heap = VectorLazyHeap(purge_dead=alive)
 
     def comp_scores(entries: np.ndarray) -> np.ndarray:
+        # move-remote lands on the per-entry best stream (scalar
+        # ``page_time_if_moved_remote`` rule)
         j = ctx.comp_pages[entries]
         size = ctx.comp_sizes[entries]
         lb = LB[j]
-        if n_rem == 1:
-            rb = RB[j]
-            old = cost.bulk_page_time_from_bytes(j, lb, rb)
-            new = cost.bulk_page_time_from_bytes(j, lb - size, rb + size)
-        else:
-            # move-remote lands on the per-entry best stream (scalar
-            # ``page_time_if_moved_remote`` rule)
-            sbs = [rb_arr[j] for rb_arr in RBs]
-            old = cost.bulk_page_time_from_stream_bytes(j, lb, sbs)
-            T = np.empty((n_rem, len(entries)))
-            T2 = np.empty_like(T)
-            for r in range(n_rem):
-                ov = ctx.page_ovhd_streams[r][j]
-                sp = ctx.page_spb_streams[r][j]
-                T[r] = ov + sp * sbs[r]
-                T2[r] = ov + sp * (sbs[r] + size)
-            best = T2.argmin(axis=0)
-            ar = np.arange(len(entries))
-            T[best, ar] = T2[best, ar]
-            tl2 = ctx.page_ovhd_local[j] + ctx.page_spb_local[j] * (
-                ctx.html_sizes[j] + (lb - size)
-            )
-            new = np.maximum(tl2, T.max(axis=0)) if len(entries) else tl2
+        ovl = ctx.page_ovhd_local[j]
+        spl = ctx.page_spb_local[j]
+        html = ctx.html_sizes[j]
+        old, new = _moved_remote_times(
+            ovl + spl * (html + lb),
+            ovl + spl * (html + (lb - size)),
+            [ov[j] for ov in ctx.page_ovhd_streams],
+            [sp[j] for sp in ctx.page_spb_streams],
+            [RB[j] for RB in RBs],
+            size,
+        )
         shed = ctx.comp_freq[entries]
         raw = (cost.alpha1 * shed) * (new - old)
         out = np.full(len(entries), np.inf)
@@ -1037,21 +937,10 @@ def restore_processing_batched(
             shed = float(ctx.comp_freq[e])
             size = float(m.sizes[k])
             alloc.set_comp_local(e, False)
-            if n_rem == 1:
-                LB[j] -= size
-                RB[j] += size
-            else:
-                best = 0
-                best_t = None
-                for r in range(n_rem):
-                    t = ctx.page_ovhd_streams[r][j] + ctx.page_spb_streams[
-                        r
-                    ][j] * (RBs[r][j] + size)
-                    if best_t is None or t < best_t:
-                        best, best_t = r, t
-                comp_stream[e] = best + 1
-                LB[j] -= size
-                RBs[best][j] += size
+            r = _best_stream(ctx.scalars, RBs, j, size)
+            comp_stream[e] = r + 1
+            LB[j] -= size
+            RBs[r][j] += size
             alive[e] = False
             # every other local candidate of this page is now stale; the
             # scalar loop pushes each sibling with a fresh score (one
@@ -1082,143 +971,3 @@ def restore_processing_batched(
         f"({load:.6f} > {capacity:.6f} + tol)"
     )
     return stats
-
-
-# ----------------------------------------------------------------------
-# OFF_LOADING server-side absorption
-# ----------------------------------------------------------------------
-def absorb_extra_workload_batched(
-    alloc: Allocation,
-    cost: CostModel,
-    server_id: int,
-    target: float,
-    allow_new_replicas: bool = True,
-    allow_swap: bool = True,
-    counters: dict | None = None,
-) -> float:
-    """Batched twin of ``offload.absorb_extra_workload``."""
-    from repro.core.offload import _try_make_room
-
-    if alloc.ctx.n_streams > 2:
-        raise NotImplementedError(
-            "OFF_LOADING absorption supports the k=2 topology only; "
-            "k-stream off-loading is a planned follow-up (k>2 scenarios "
-            "model the repository tier as uncapacitated)"
-        )
-    if target <= _TOL:
-        return 0.0
-    m = alloc.model
-    cap = float(m.server_capacity[server_id])
-    load = float(local_processing_load(alloc)[server_id])
-    cpu_slack = np.inf if np.isinf(cap) else cap - load
-    space = float(m.server_storage[server_id] - storage_used(alloc)[server_id])
-
-    ctx = alloc.ctx
-    LB = cost.local_mo_bytes(alloc)
-    RB = cost.remote_mo_bytes(alloc)
-    NC = len(m.comp_objects)
-    n_keys = NC + len(m.opt_objects)
-    f = np.zeros(n_keys)
-    alive = np.zeros(n_keys, dtype=bool)
-    dirty = np.zeros(n_keys, dtype=bool)
-    heap = VectorLazyHeap()
-
-    def comp_scores(entries: np.ndarray) -> np.ndarray:
-        j = ctx.comp_pages[entries]
-        size = ctx.comp_sizes[entries]
-        lb = LB[j]
-        rb = RB[j]
-        old = cost.bulk_page_time_from_bytes(j, lb, rb)
-        new = cost.bulk_page_time_from_bytes(j, lb + size, rb - size)
-        w = ctx.comp_freq[entries]
-        raw = (cost.alpha1 * w) * (new - old)
-        out = np.full(len(entries), np.inf)
-        pos = w > 0
-        out[pos] = raw[pos] / w[pos]
-        _bump(counters, len(entries))
-        return out
-
-    def opt_scores(entries: np.ndarray) -> np.ndarray:
-        raw = cost.bulk_optional_entry_delta(entries, to_local=True)
-        w = ctx.opt_freq_weight[entries]
-        out = np.full(len(entries), np.inf)
-        pos = w > 0
-        out[pos] = raw[pos] / w[pos]
-        _bump(counters, len(entries))
-        return out
-
-    ec = ((~alloc.comp_local) & (ctx.comp_server == server_id)).nonzero()[0]
-    vc = comp_scores(ec)
-    eo = ((~alloc.opt_local) & (ctx.opt_server == server_id)).nonzero()[0]
-    vo = opt_scores(eo)
-    f[ec] = vc
-    f[NC + eo] = vo
-    alive[ec] = True
-    alive[NC + eo] = True
-    heap.push_batch(np.concatenate((vc, vo)), np.concatenate((ec, NC + eo)))
-
-    # opt move-local deltas don't depend on the byte totals, so only
-    # comp keys ever get dirty; the scan rescore sees compulsory entries
-    rescore = comp_scores
-
-    def mark_page_dirty(j: int) -> None:
-        sl = m.comp_slice(j)
-        dirty[sl.start : sl.stop] = True
-
-    absorbed = 0.0
-    while len(heap) and absorbed < target - _TOL and cpu_slack > _TOL:
-        popped = heap.pop_round(f, alive, _TOL, dirty, rescore)
-        if popped is None:
-            break
-        _, key = popped
-        if key < NC:
-            e = key
-            w = float(ctx.comp_freq[e])
-        else:
-            e = key - NC
-            w = float(ctx.opt_freq_weight[e])
-        if w <= 0 or w > cpu_slack + _TOL:
-            continue  # consumed, but duplicates may still be accepted later
-        k = int(m.comp_objects[e] if key < NC else m.opt_objects[e])
-        stored = k in alloc.replicas[server_id]
-        if not stored:
-            size = float(m.sizes[k])
-            if not allow_new_replicas:
-                continue
-            if size > space + _TOL:
-                remaining = target - absorbed
-                ok, freed_sizes, flip_c, flip_o, flip_pages = _try_make_room(
-                    alloc,
-                    server_id,
-                    size - space,
-                    min(w, remaining),
-                    LB,
-                    RB,
-                    allow_swap,
-                )
-                if not ok:
-                    continue  # the scalar path defers, never to revisit
-                for sz in freed_sizes:
-                    space += sz
-                # un-marked entries become poppable again through any
-                # duplicate heap entries, exactly like the scalar
-                # ``is_local`` check would let them through
-                alive[flip_c] = True
-                alive[NC + np.asarray(flip_o, dtype=np.intp)] = True
-                for jj in flip_pages:
-                    mark_page_dirty(jj)
-            space -= size
-        if key < NC:
-            j = int(m.comp_pages[e])
-            size_k = float(m.sizes[k])
-            alloc.set_comp_local(e, True)
-            LB[j] += size_k
-            RB[j] -= size_k
-            alive[e] = False
-            mark_page_dirty(j)  # sibling candidates of this page are stale
-        else:
-            alloc.set_opt_local(e, True)
-            alive[key] = False
-        absorbed += w
-        cpu_slack -= w
-    return absorbed

@@ -52,8 +52,6 @@ from repro.core.constraints import (
     storage_used,
 )
 from repro.core.cost_model import CostModel
-from repro.core.context import engine_kernel
-from repro.core.partition import Kernel, resolve_kernel
 from repro.obs.registry import get_registry
 
 __all__ = [
@@ -215,10 +213,8 @@ def _try_make_room(
     """Free ``need`` bytes by deallocating stored objects whose marks
     shed less workload than ``gain`` would add (net positive trade).
 
-    Shared by the scalar and batched absorption kernels — the victim
-    ranking (``victims.sort()`` over ``(w_lost/size, k, size, w_lost)``
-    tuples) is fully deterministic, so both paths choose identical
-    victims.  Returns ``(ok, freed_sizes, flipped_comp_entries,
+    The victim ranking (``victims.sort()`` over ``(w_lost/size, k, size,
+    w_lost)`` tuples) is fully deterministic.  Returns ``(ok, freed_sizes, flipped_comp_entries,
     flipped_opt_entries, flipped_pages)``; on failure nothing is
     mutated.
     """
@@ -285,7 +281,6 @@ def absorb_extra_workload(
     target: float,
     allow_new_replicas: bool = True,
     allow_swap: bool = True,
-    kernel: Kernel = "batched",
 ) -> float:
     """Shift up to ``target`` req/s of repository workload onto ``server_id``.
 
@@ -303,41 +298,13 @@ def absorb_extra_workload(
         Enable the paper's last-resort swap: deallocating stored objects
         whose marks carry less workload than a blocked candidate would
         add, when that trade is a net workload gain.
-    kernel:
-        ``"batched"`` (default) scores candidates with the vectorised
-        engine of :mod:`repro.core.fast_restoration`; ``"scalar"`` keeps
-        the reference lazy-heap loop.  Both produce bit-identical
-        absorption sequences.
     """
-    kernel = engine_kernel(resolve_kernel(kernel))
     if alloc.ctx.n_streams > 2:
         raise NotImplementedError(
             "OFF_LOADING absorption supports the k=2 topology only; "
             "k-stream off-loading is a planned follow-up (k>2 scenarios "
             "model the repository tier as uncapacitated)"
         )
-    if kernel == "batched":
-        # local import keeps the scalar path importable without NumPy
-        # fanciness and avoids a module-level cycle
-        from repro.core.fast_restoration import absorb_extra_workload_batched
-
-        rescore: dict[str, int] = {}
-        absorbed = absorb_extra_workload_batched(
-            alloc,
-            cost,
-            server_id,
-            target,
-            allow_new_replicas=allow_new_replicas,
-            allow_swap=allow_swap,
-            counters=rescore,
-        )
-        reg = get_registry()
-        if reg.enabled and rescore:
-            reg.count("offload.rescore_batches", rescore.get("batches", 0))
-            reg.count(
-                "offload.rescored_candidates", rescore.get("candidates", 0)
-            )
-        return absorbed
     if target <= _TOL:
         return 0.0
     m = alloc.model
@@ -434,7 +401,6 @@ def absorb_round_serial(
     requests: list[tuple[int, float, bool]],
     *,
     allow_swap: bool = True,
-    kernel: Kernel = "batched",
 ) -> dict[int, float]:
     """Default (serial) scatter: absorb each round request in plan order.
 
@@ -464,7 +430,6 @@ def absorb_round_serial(
             req,
             allow_new_replicas=allow_new,
             allow_swap=allow_swap,
-            kernel=kernel,
         )
     return achieved
 
@@ -516,7 +481,6 @@ def offload_repository(
     cost: CostModel,
     config: OffloadConfig | None = None,
     capacity: float | None = None,
-    kernel: Kernel = "batched",
     scatter=None,
 ) -> OffloadOutcome:
     """Run the OFF_LOADING_REPOSITORY protocol, mutating ``alloc``.
@@ -532,9 +496,6 @@ def offload_repository(
         Override for ``C(R)`` (defaults to the model's repository
         capacity).  Figure 3 sweeps this as a fraction of the workload
         the pre-offload allocation imposes.
-    kernel:
-        Candidate-scoring kernel forwarded to
-        :func:`absorb_extra_workload` (``"batched"`` or ``"scalar"``).
     scatter:
         Absorption-round executor with the signature and contract of
         :func:`absorb_round_serial` (the default).  The sharded kernel
@@ -551,7 +512,6 @@ def offload_repository(
         shared-memory mark frontier) are never leaked.
     """
     cfg = config or OffloadConfig()
-    kernel = engine_kernel(resolve_kernel(kernel))
     m = alloc.model
     repo_cap = (
         m.repository.processing_capacity if capacity is None else float(capacity)
@@ -605,7 +565,6 @@ def offload_repository(
                     cost,
                     requests,
                     allow_swap=cfg.allow_swap,
-                    kernel=kernel,
                 )
                 # Gather: the order-sensitive bookkeeping, in plan order.
                 for i, req in plan.items():

@@ -1,14 +1,16 @@
 """The PARTITION algorithm (Section 4.2).
 
 For each page the compulsory MOs are sorted by **decreasing size** and
-greedily assigned to whichever of the two parallel streams — local server
-or repository — ends up shorter after receiving the object.  This is the
-paper's pseudocode verbatim: both running totals are tentatively
-incremented, then the loser is rolled back.
+greedily assigned to whichever of the parallel streams — the local
+server, the repository, or (in a ``k > 2`` replica mesh) another remote
+site — ends up shortest after receiving the object.  With the paper's
+two streams this is its pseudocode verbatim: both running totals are
+tentatively incremented, then the loser is rolled back.
 
 The local stream starts at ``Ovhd(S_i) + Size(H_j)/B(S_i)`` (the HTML
-document must always come from the local server); the repository stream
-starts at ``Ovhd(R, S_i)``.
+document must always come from the local server); remote stream ``r``
+starts at its overhead ``Ovhd(r, S_i)`` (``Ovhd(R, S_i)`` for the
+repository).
 
 After partitioning, the paper stores every MO with at least one local
 mark, and additionally *stores all optional objects* (downloading an
@@ -39,7 +41,6 @@ from repro.obs.registry import get_registry
 
 __all__ = [
     "partition_page",
-    "partition_page_streams",
     "partition_all",
     "resolve_kernel",
     "OptionalPolicy",
@@ -50,14 +51,25 @@ __all__ = [
 OptionalPolicy = Literal["all", "beneficial", "none"]
 SortOrder = Literal["decreasing", "increasing", "document"]
 
+_BOOL = np.dtype(bool)
+_INT8 = np.dtype(np.int8)
+
 
 def partition_page(
     model: SystemModel,
     page_id: int,
     allowed: Collection[int] | None = None,
     order: SortOrder = "decreasing",
-) -> tuple[np.ndarray, float, float]:
-    """Run PARTITION for one page.
+) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+    """Run PARTITION for one page: greedy argmin over all k streams.
+
+    Each object lands on whichever stream — local, or any of the k−1
+    remote streams — would end up shortest after receiving it, ties
+    broken by lowest stream index (local = 0 beats every remote, the
+    repository beats the extra replica sites).  In the paper's
+    two-stream model this is its pseudocode: tentatively add the object
+    to both streams and keep it local unless the repository stream ends
+    up *strictly* shorter.
 
     Parameters
     ----------
@@ -67,162 +79,77 @@ def partition_page(
         Page to partition.
     allowed:
         If given, only these object ids may be marked local; all others
-        are forced onto the repository stream.  ``None`` means any object
-        may be replicated.
+        take the argmin over the remote streams only.  ``None`` means any
+        object may be replicated.
     order:
         Iteration order over the page's compulsory objects.  The paper
-        prescribes ``"decreasing"`` size (big objects placed while both
+        prescribes ``"decreasing"`` size (big objects placed while the
         streams are short, so the greedy can still balance around them);
         ``"increasing"`` and ``"document"`` (the page's embed order) are
         provided for the ablation bench.
 
     Returns
     -------
-    (marks, local_time, remote_time):
+    (marks, streams, local_time, stream_times):
         ``marks`` is a boolean array aligned with
         ``model.pages[page_id].compulsory`` (``True`` = download locally,
-        i.e. ``X_jk = 1``); the two floats are the resulting estimated
-        stream times (Eq. 3 and Eq. 4).
+        i.e. ``X_jk = 1``); ``streams`` the per-entry owning remote
+        stream (``int8``, 1-based, 1 where the mark is ``True``);
+        ``local_time`` the Eq. 3 stream time and ``stream_times[r-1]``
+        the Eq. 4 analog of remote stream ``r``.
     """
-    page = model.pages[page_id]
-    srv = model.servers[page.server]
-    spb_local = srv.spb
-    spb_repo = srv.repo_spb
-
-    local_time = srv.overhead + spb_local * page.html_size
-    remote_time = srv.repo_overhead
-
-    n = len(page.compulsory)
-    marks = np.zeros(n, dtype=bool)
-    if n == 0:
-        return marks, local_time, remote_time
-
-    # Pre-sorted by decreasing size (ties broken by entry position); see
-    # SystemModel.comp_sorted.  Plain-list views keep this hot loop off
-    # NumPy scalar indexing.
-    sorted_entries, comp_objects, entry_sizes = model.fast_comp
-    sl = model.comp_slice(page_id)
-    start = sl.start
-    if order == "decreasing":
-        iteration = sorted_entries[start : sl.stop]
-    elif order == "increasing":
-        iteration = sorted_entries[start : sl.stop][::-1]
-    elif order == "document":
-        iteration = range(start, sl.stop)
-    else:
-        raise ValueError(f"unknown sort order {order!r}")
-
-    if allowed is None:
-        allowed_set = None
-    elif isinstance(allowed, (set, frozenset)):
-        allowed_set = allowed
-    else:
-        allowed_set = set(allowed)
-    for e in iteration:
-        k = comp_objects[e]
-        size = entry_sizes[e]
-        if allowed_set is not None and k not in allowed_set:
-            remote_time += spb_repo * size
-            continue
-        # Tentatively add the object to both streams (paper pseudocode),
-        # then roll back the stream that should not carry it.
-        cand_remote = remote_time + spb_repo * size
-        cand_local = local_time + spb_local * size
-        if cand_remote < cand_local:
-            remote_time = cand_remote
-            # marks stay False: X_jk = 0
-        else:
-            local_time = cand_local
-            marks[e - start] = True
-    return marks, local_time, remote_time
-
-
-def partition_page_streams(
-    model: SystemModel,
-    page_id: int,
-    allowed: Collection[int] | None = None,
-    order: SortOrder = "decreasing",
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """k-way PARTITION for one page: greedy argmin over all streams.
-
-    The k-stream generalization of :func:`partition_page`.  Each object
-    lands on whichever stream — local, or any of the k−1 remote streams
-    — would end up shortest after receiving it, ties broken by lowest
-    stream index (local = 0 beats every remote, the repository beats
-    the extra replica sites).  A disallowed object takes the argmin over
-    the remote streams only.  With the degenerate k=2 topology every
-    comparison collapses to ``cand_remote < cand_local`` — the scalar
-    reference's exact tie rule — so marks and times are bit-identical
-    to :func:`partition_page`.
-
-    Returns
-    -------
-    (marks, streams, local_time, stream_times):
-        ``marks`` as in :func:`partition_page`; ``streams`` the per-
-        entry owning remote stream (``int8``, meaningful where the mark
-        is ``False``); ``stream_times[r-1]`` the Eq. 4 analog of remote
-        stream ``r``.
-    """
-    ctx = EvalContext.for_model(model, "scalar")
-    s = ctx.scalars
-    n_rem = ctx.n_streams - 1
+    s = EvalContext.for_model(model, "scalar").scalars
     spb_local = s.spb_local[page_id]
     local_time = s.ovhd_local[page_id] + spb_local * s.html[page_id]
-    spb_streams = [col[page_id] for col in s.spb_streams]
-    stream_times = [col[page_id] for col in s.ovhd_streams]
+    stream_times = list(s.ovhd_remote[page_id])
+    spb_remote = s.spb_remote[page_id]
+    later_remotes = range(1, len(stream_times))
 
-    sl = model.comp_slice(page_id)
-    start = sl.start
-    n = sl.stop - start
-    marks = np.zeros(n, dtype=bool)
-    streams = np.ones(n, dtype=np.int8)
-    if n == 0:
-        return marks, streams, local_time, stream_times
-
-    sorted_entries, comp_objects, entry_sizes = model.fast_comp
+    # Pre-sorted by decreasing size (ties broken by entry position); see
+    # SystemModel.comp_sorted.  Plain lists and bytearrays keep this hot
+    # loop off NumPy scalar indexing.
+    sorted_entries, comp_objects, entry_sizes, indptr = model.fast_comp
+    start = indptr[page_id]
+    stop = indptr[page_id + 1]
     if order == "decreasing":
-        iteration = sorted_entries[start : sl.stop]
+        iteration = sorted_entries[start:stop]
     elif order == "increasing":
-        iteration = sorted_entries[start : sl.stop][::-1]
+        iteration = sorted_entries[start:stop][::-1]
     elif order == "document":
-        iteration = range(start, sl.stop)
+        iteration = range(start, stop)
     else:
         raise ValueError(f"unknown sort order {order!r}")
-
-    if allowed is None:
-        allowed_set = None
-    elif isinstance(allowed, (set, frozenset)):
-        allowed_set = allowed
-    else:
-        allowed_set = set(allowed)
+    local = bytearray(stop - start)
+    owner = bytearray(b"\x01") * (stop - start)
+    if allowed is not None and not isinstance(allowed, (set, frozenset)):
+        allowed = set(allowed)
     for e in iteration:
-        k = comp_objects[e]
         size = entry_sizes[e]
-        if allowed_set is not None and k not in allowed_set:
-            best = 0
-            best_t = stream_times[0] + spb_streams[0] * size
-            for r in range(1, n_rem):
-                t = stream_times[r] + spb_streams[r] * size
-                if t < best_t:
-                    best, best_t = r, t
-            stream_times[best] = best_t
-            streams[e - start] = best + 1
-            continue
-        # argmin over [local, stream 1, …, stream k-1]; a later stream
-        # must be STRICTLY shorter to win (lowest index takes ties)
-        best = -1
-        best_t = local_time + spb_local * size
-        for r in range(n_rem):
-            t = stream_times[r] + spb_streams[r] * size
-            if t < best_t:
-                best, best_t = r, t
-        if best < 0:
-            local_time = best_t
-            marks[e - start] = True
-        else:
-            stream_times[best] = best_t
-            streams[e - start] = best + 1
-    return marks, streams, local_time, stream_times
+        # the best remote stream: a later one must be STRICTLY shorter
+        best = 0
+        cand = stream_times[0] + spb_remote[0] * size
+        for r in later_remotes:
+            t = stream_times[r] + spb_remote[r] * size
+            if t < cand:
+                best = r
+                cand = t
+        # local (stream 0) takes the object unless that remote stream
+        # ends up strictly shorter
+        if allowed is None or comp_objects[e] in allowed:
+            t = local_time + spb_local * size
+            if t <= cand:
+                local_time = t
+                local[e - start] = 1
+                continue
+        stream_times[best] = cand
+        if best:  # owner already holds stream 1
+            owner[e - start] = best + 1
+    return (
+        np.frombuffer(local, _BOOL),
+        np.frombuffer(owner, _INT8),
+        local_time,
+        stream_times,
+    )
 
 
 def _optional_marks(
@@ -235,12 +162,10 @@ def _optional_marks(
     n = len(page.optional)
     if n == 0 or policy == "none":
         return np.zeros(n, dtype=bool)
-    srv = model.servers[page.server]
-    n_streams = getattr(model, "n_streams", 2)
-    if policy == "beneficial" and n_streams > 2:
-        s = EvalContext.for_model(model, "scalar").scalars
-        spb_streams = [col[page_id] for col in s.spb_streams]
-        ovhd_streams = [col[page_id] for col in s.ovhd_streams]
+    s = EvalContext.for_model(model, "scalar").scalars
+    ovhd_local = s.ovhd_local[page_id]
+    spb_local = s.spb_local[page_id]
+    remote = list(zip(s.ovhd_remote[page_id], s.spb_remote[page_id]))
     allowed_set = None if allowed is None else set(allowed)
     marks = np.zeros(n, dtype=bool)
     for pos, k in enumerate(page.optional):
@@ -248,17 +173,11 @@ def _optional_marks(
             continue
         if policy == "all":
             marks[pos] = True
-        else:  # "beneficial"
+        else:  # "beneficial": against the cheapest remote stream
             size = model.sizes[k]
-            t_local = srv.overhead + srv.spb * size
-            t_repo = srv.repo_overhead + srv.repo_spb * size
-            if n_streams > 2:
-                # against the cheapest remote stream, not just the repo
-                t_repo = min(
-                    o + s_r * size
-                    for o, s_r in zip(ovhd_streams, spb_streams)
-                )
-            marks[pos] = t_local <= t_repo
+            t_local = ovhd_local + spb_local * size
+            t_remote = min(o + spb * size for o, spb in remote)
+            marks[pos] = t_local <= t_remote
     return marks
 
 
@@ -311,7 +230,6 @@ def partition_all(
             )
         else:
             alloc = Allocation(model)
-            multipath = getattr(model, "n_streams", 2) > 2
             for j in range(model.n_pages):
                 page = model.pages[j]
                 allowed = (
@@ -320,15 +238,9 @@ def partition_all(
                     else allowed_per_server.get(page.server, ())
                 )
                 sl = model.comp_slice(j)
-                if multipath:
-                    comp_marks, streams, _, _ = partition_page_streams(
-                        model, j, allowed, order=order
-                    )
-                    alloc.comp_stream[sl] = streams
-                else:
-                    comp_marks, _, _ = partition_page(
-                        model, j, allowed, order=order
-                    )
+                comp_marks, alloc.comp_stream[sl], _, _ = partition_page(
+                    model, j, allowed, order=order
+                )
                 for off, val in enumerate(comp_marks):
                     if val:
                         alloc.set_comp_local(sl.start + off, True)

@@ -238,7 +238,7 @@ class RepositoryReplicationPolicy:
                 with reg.span("off-loading") as sp:
                     spans["off-loading"] = sp
                     offload_outcome = offload_repository(
-                        alloc, cost, self.offload_config, kernel=self.kernel
+                        alloc, cost, self.offload_config
                     )
                 phases.append("off-loading")
                 report = evaluate_constraints(alloc)

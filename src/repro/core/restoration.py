@@ -40,17 +40,8 @@ import numpy as np
 from repro.core.allocation import Allocation, ReverseIndex
 from repro.core.constraints import local_processing_load
 from repro.core.cost_model import CostModel
-from repro.core.fast_partition import (
-    partition_pages_batched,
-    partition_pages_multipath,
-)
 from repro.core.context import engine_kernel
-from repro.core.partition import (
-    Kernel,
-    partition_page,
-    partition_page_streams,
-    resolve_kernel,
-)
+from repro.core.partition import Kernel, partition_page, resolve_kernel
 from repro.obs.registry import get_registry
 
 __all__ = [
@@ -65,8 +56,11 @@ _TOL = 1e-9
 
 #: Minimum flip-set size for the batched re-partition kernel; below this
 #: the scalar greedy wins on fixed dispatch overhead (results are
-#: bit-identical either way).
-_BATCH_MIN_PAGES = 8
+#: bit-identical either way).  On Table 1 pages (~45 greedy steps) one
+#: batched call costs ~1.1 ms whatever the page count up to a few
+#: hundred, against ~10-20 µs per page for the scalar kernel: the
+#: crossover sits near 64-128 pages (2-core x86 host).
+_BATCH_MIN_PAGES = 64
 
 
 def _resolve_servers(
@@ -151,87 +145,53 @@ class _PageState:
 
     Kept as plain Python lists: the greedy loops evaluate single-page
     times millions of times, and list indexing is several times faster
-    than NumPy scalar indexing.
-
-    At k=2 ``stream_bytes`` is the one-element list whose element IS
-    ``remote_bytes`` (shared list object), and every method runs the
-    pre-stream expression sequence verbatim; at k>2 the remote totals
-    are tracked per stream and moves to remote land on the stream whose
-    resulting time is lowest (ties to the lowest stream index).
+    than NumPy scalar indexing.  ``stream_bytes[j][r-1]`` is page
+    ``j``'s byte total on remote stream ``r``; a move to remote lands on
+    the stream whose resulting time is lowest (ties to the lowest stream
+    index).
     """
 
     def __init__(self, cost: CostModel, alloc: Allocation):
         self.cost = cost
         self.alloc = alloc
-        self.k = cost.n_streams
         self.local_bytes: list[float] = cost.local_mo_bytes(alloc).tolist()
-        if self.k == 2:
-            self.remote_bytes: list[float] = cost.remote_mo_bytes(alloc).tolist()
-            self.stream_bytes: list[list[float]] = [self.remote_bytes]
-        else:
-            self.stream_bytes = [
-                rb.tolist() for rb in cost.remote_mo_bytes_by_stream(alloc)
-            ]
-            self.remote_bytes = self.stream_bytes[0]
+        self.stream_bytes: list[list[float]] = np.stack(
+            cost.remote_mo_bytes_by_stream(alloc), axis=1
+        ).tolist()
 
     def page_time(self, j: int) -> float:
-        if self.k == 2:
-            return self.cost.page_time_from_bytes(
-                j, self.local_bytes[j], self.remote_bytes[j]
-            )
-        return self.cost.page_time_from_stream_bytes(
-            j, self.local_bytes[j], [sb[j] for sb in self.stream_bytes]
+        return self.cost.page_time_from_bytes(
+            j, self.local_bytes[j], *self.stream_bytes[j]
         )
 
     def best_stream(self, j: int, size: float) -> int:
         """Remote stream (1-based) with the lowest time after +``size``."""
-        if self.k == 2:
-            return 1
         s = self.cost.scalars
-        best = 0
-        best_t = None
+        best, best_t = 0, np.inf
         for r, (ov, sp, sb) in enumerate(
-            zip(s.ovhd_streams, s.spb_streams, self.stream_bytes)
+            zip(s.ovhd_remote[j], s.spb_remote[j], self.stream_bytes[j]), 1
         ):
-            t = ov[j] + sp[j] * (sb[j] + size)
-            if best_t is None or t < best_t:
+            t = ov + sp * (sb + size)
+            if t < best_t:
                 best, best_t = r, t
-        return best + 1
+        return best
 
-    def page_time_if_moved_remote(
-        self, j: int, size: float, stream: int | None = None
-    ) -> float:
-        if self.k == 2:
-            return self.cost.page_time_from_bytes(
-                j, self.local_bytes[j] - size, self.remote_bytes[j] + size
-            )
-        r = self.best_stream(j, size) if stream is None else stream
-        sb = [b[j] for b in self.stream_bytes]
-        sb[r - 1] += size
-        return self.cost.page_time_from_stream_bytes(
-            j, self.local_bytes[j] - size, sb
-        )
+    def page_time_if_moved_remote(self, j: int, size: float) -> float:
+        sb = self.stream_bytes[j][:]
+        sb[self.best_stream(j, size) - 1] += size
+        return self.cost.page_time_from_bytes(j, self.local_bytes[j] - size, *sb)
 
-    def page_time_if_moved_local(
-        self, j: int, size: float, stream: int = 1
-    ) -> float:
-        if self.k == 2:
-            return self.cost.page_time_from_bytes(
-                j, self.local_bytes[j] + size, self.remote_bytes[j] - size
-            )
-        sb = [b[j] for b in self.stream_bytes]
-        sb[stream - 1] -= size
-        return self.cost.page_time_from_stream_bytes(
-            j, self.local_bytes[j] + size, sb
-        )
-
-    def move_remote(self, j: int, size: float, stream: int = 1) -> None:
+    def move_remote(self, j: int, size: float, stream: int) -> None:
         self.local_bytes[j] -= size
-        self.stream_bytes[stream - 1][j] += size
+        self.stream_bytes[j][stream - 1] += size
 
-    def move_local(self, j: int, size: float, stream: int = 1) -> None:
+    def move_local(self, j: int, size: float, stream: int) -> None:
         self.local_bytes[j] += size
-        self.stream_bytes[stream - 1][j] -= size
+        self.stream_bytes[j][stream - 1] -= size
+
+    def hop(self, j: int, size: float, old: int, new: int) -> None:
+        self.stream_bytes[j][old - 1] -= size
+        self.stream_bytes[j][new - 1] += size
 
 
 def _eviction_delta(
@@ -313,7 +273,6 @@ def _restore_storage_one_server(
     state: _PageState,
     server_id: int,
     amortise: bool = True,
-    kernel: Kernel = "batched",
 ) -> StorageRestorationStats:
     m = alloc.model
     # one O(E) reverse-index build (cached per model) shared by every score
@@ -344,65 +303,21 @@ def _restore_storage_one_server(
     for k in alloc.replicas[server_id]:
         heap.push(score(k), k)
 
-    # The batched kernel takes ``allowed`` as a flat per-entry mask;
-    # maintain it incrementally (replicas only shrink during restoration,
-    # so clearing the victim's entries after each eviction keeps it
-    # exact).
-    allowed_mask: np.ndarray | None = None
-    if kernel == "batched":
-        allowed_mask = np.zeros(len(m.comp_objects), dtype=bool)
-        rows = alloc.ctx.comp_group(server_id)[0]
-        stored = alloc.replicas[server_id]
-        replica_arr = np.fromiter(stored, dtype=np.intp, count=len(stored))
-        allowed_mask[rows] = np.isin(m.comp_objects[rows], replica_arr)
-
     def repartition_flipped(pages: list[int]) -> None:
         """Re-run PARTITION for the pages an eviction touched, restricted
-        to the server's remaining replica set.
+        to the server's remaining replica set."""
+        for j in pages:
+            marks, streams, _, _ = partition_page(
+                m, j, allowed=alloc.replicas[server_id]
+            )
+            apply_repartition(j, marks, streams)
 
-        Both branches produce bit-identical marks (differential property
-        suite); the batch kernel only pays off once the flip set is large
-        enough to amortize its fixed NumPy dispatch cost, so small sets
-        take the scalar greedy even under ``kernel="batched"``.
-        """
-        multipath = state.k > 2
-        if kernel == "batched" and len(pages) >= _BATCH_MIN_PAGES:
-            if multipath:
-                batch_marks, batch_streams, _, _ = partition_pages_multipath(
-                    m, page_ids=pages, allowed_mask=allowed_mask
-                )
-                for j in pages:
-                    sl = m.comp_slice(j)
-                    apply_repartition(
-                        j, batch_marks[sl], batch_streams[sl]
-                    )
-            else:
-                batch_marks, _, _ = partition_pages_batched(
-                    m, page_ids=pages, allowed_mask=allowed_mask
-                )
-                for j in pages:
-                    apply_repartition(j, batch_marks[m.comp_slice(j)])
-        else:
-            for j in pages:
-                if multipath:
-                    marks, streams, _, _ = partition_page_streams(
-                        m, j, allowed=alloc.replicas[server_id]
-                    )
-                    apply_repartition(j, marks, streams)
-                else:
-                    marks, _, _ = partition_page(
-                        m, j, allowed=alloc.replicas[server_id]
-                    )
-                    apply_repartition(j, marks)
-
-    def apply_repartition(
-        j: int, marks: np.ndarray, streams: np.ndarray | None = None
-    ) -> None:
+    def apply_repartition(j: int, marks: np.ndarray, streams: np.ndarray) -> None:
         """Install page ``j``'s re-partitioned marks, refreshing state.
 
-        At k>2 ``streams`` carries the per-entry owning remote stream; a
-        remote entry that merely changed stream still shifts the page's
-        stream totals, so it counts as a change.
+        ``streams`` carries the per-entry owning remote stream; a remote
+        entry that merely changed stream still shifts the page's stream
+        totals, so it counts as a change.
         """
         sl = m.comp_slice(j)
         stale: set[int] = set()
@@ -411,38 +326,26 @@ def _restore_storage_one_server(
             e = sl.start + off
             new = bool(marks[off])
             k = int(m.comp_objects[e])
+            r_old = int(alloc.comp_stream[e])
+            r = int(streams[off])
             if bool(alloc.comp_local[e]) != new:
                 size = float(m.sizes[k])
                 if new:
-                    if streams is not None:
-                        state.move_local(j, size, int(alloc.comp_stream[e]))
-                        alloc.set_comp_local(e, True)
-                    else:
-                        alloc.set_comp_local(e, True)
-                        state.move_local(j, size)
+                    state.move_local(j, size, r_old)
+                    alloc.set_comp_local(e, True)
                 else:
                     alloc.set_comp_local(e, False)
-                    if streams is not None:
-                        r = int(streams[off])
-                        alloc.comp_stream[e] = r
-                        state.move_remote(j, size, r)
-                    else:
-                        state.move_remote(j, size)
+                    alloc.comp_stream[e] = r
+                    state.move_remote(j, size, r)
                 changed = True
                 stale.add(k)
             elif new:
                 # still marked local: its eviction delta shifts with the
                 # page's new stream totals
                 stale.add(k)
-            elif streams is not None and int(alloc.comp_stream[e]) != int(
-                streams[off]
-            ):
+            elif r_old != r:
                 # remote entry hopping streams: totals shift on both
-                size = float(m.sizes[k])
-                old_r = int(alloc.comp_stream[e])
-                r = int(streams[off])
-                state.stream_bytes[old_r - 1][j] -= size
-                state.stream_bytes[r - 1][j] += size
+                state.hop(j, float(m.sizes[k]), r_old, r)
                 alloc.comp_stream[e] = r
                 changed = True
         if changed:
@@ -472,19 +375,14 @@ def _restore_storage_one_server(
             if alloc.comp_local[e]:
                 j = int(m.comp_pages[e])
                 alloc.set_comp_local(e, False)
-                if state.k > 2:
-                    r = state.best_stream(j, size)
-                    alloc.comp_stream[e] = r
-                    state.move_remote(j, size, r)
-                else:
-                    state.move_remote(j, size)
+                r = state.best_stream(j, size)
+                alloc.comp_stream[e] = r
+                state.move_remote(j, size, r)
                 flipped_pages.append(j)
         for e in opt_e:
             if alloc.opt_local[e]:
                 alloc.set_opt_local(e, False)
         alloc.replicas[server_id].discard(k)
-        if allowed_mask is not None and comp_e:
-            allowed_mask[list(comp_e)] = False
         used -= size
         stats.evictions += 1
         stats.bytes_freed += size
@@ -562,8 +460,7 @@ def restore_storage_capacity(
             for i in server_list:
                 stats.merge(
                     _restore_storage_one_server(
-                        alloc, cost, state, i, amortise=amortise,
-                        kernel=kernel,
+                        alloc, cost, state, i, amortise=amortise
                     )
                 )
     if reg.enabled:
@@ -693,12 +590,9 @@ def _restore_processing_one_server(
             k = int(m.comp_objects[e])
             size = float(m.sizes[k])
             alloc.set_comp_local(e, False)
-            if state.k > 2:
-                r = state.best_stream(j, size)
-                alloc.comp_stream[e] = r
-                state.move_remote(j, size, r)
-            else:
-                state.move_remote(j, size)
+            r = state.best_stream(j, size)
+            alloc.comp_stream[e] = r
+            state.move_remote(j, size, r)
             # every other local candidate of this page is now stale
             sl = m.comp_slice(j)
             for e2 in range(sl.start, sl.stop):

@@ -620,7 +620,7 @@ def _shard_pipeline(
     t = time.perf_counter()
     alloc = Allocation(sub)
     if sub.n_pages:
-        comp_marks, _, _ = partition_pages_batched(sub)
+        comp_marks, _, _, _ = partition_pages_batched(sub)
         alloc.set_comp_local_bulk(np.flatnonzero(comp_marks), True)
     opt_marks = optional_marks_batched(sub, opts.optional_policy)
     alloc.set_opt_local_bulk(np.flatnonzero(opt_marks), True)
@@ -755,7 +755,6 @@ def _absorb_shard_batch(
     epoch: int,
     requests: list[tuple[int, float, bool]],
     allow_swap: bool,
-    kernel: str,
     sync: tuple | None,
 ) -> dict:
     """Absorb one round's requests for one shard on its resident state.
@@ -838,7 +837,6 @@ def _absorb_shard_batch(
                 float(target),
                 allow_new_replicas=bool(allow_new),
                 allow_swap=bool(allow_swap),
-                kernel=kernel,
             )
             comp_after = alloc.comp_local[comp_e]
             opt_after = alloc.opt_local[opt_e]
@@ -1070,7 +1068,6 @@ class _ShardedScatter:
         g: int,
         reqs: list[tuple[int, float, bool]],
         allow_swap: bool,
-        kernel: str,
         sync: tuple | None,
     ):
         self._submissions += 1
@@ -1083,7 +1080,6 @@ class _ShardedScatter:
             int(self._epochs[g]),
             reqs,
             bool(allow_swap),
-            str(kernel),
             sync,
         )
         submit_to = getattr(self._pool, "submit_to", None)
@@ -1099,7 +1095,6 @@ class _ShardedScatter:
         requests: list[tuple[int, float, bool]],
         *,
         allow_swap: bool = True,
-        kernel: str = "batched",
     ) -> dict[int, float]:
         self.begin(alloc)  # no-op when offload_repository already did
         by_shard: dict[int, list[tuple[int, float, bool]]] = {}
@@ -1118,7 +1113,7 @@ class _ShardedScatter:
                 self._resyncs[g] += 1
                 self._delta_bytes[g] += sent
                 round_delta += sent
-            jobs.append((g, self._submit(g, reqs, allow_swap, kernel, sync)))
+            jobs.append((g, self._submit(g, reqs, allow_swap, sync)))
 
         reg = obs.get_registry()
         by_server: dict[int, dict] = {}
@@ -1131,7 +1126,7 @@ class _ShardedScatter:
                 self._delta_bytes[g] += sent
                 round_delta += sent
                 res = self._submit(
-                    g, by_shard[g], allow_swap, kernel, sync
+                    g, by_shard[g], allow_swap, sync
                 ).result()
                 if res.get("resync"):  # pragma: no cover - protocol bug
                     raise RuntimeError(

@@ -426,11 +426,11 @@ class SystemModel:
                 )
         m = len(self.objects)
         for page in self.pages:
-            for k in page.compulsory + page.optional:
-                if not 0 <= k < m:
+            for obj_id in page.compulsory + page.optional:
+                if not 0 <= obj_id < m:
                     raise ValueError(
-                        f"page {page.page_id} references object {k} but only "
-                        f"{m} objects exist"
+                        f"page {page.page_id} references object {obj_id} but "
+                        f"only {m} objects exist"
                     )
 
     # ------------------------------------------------------------------
@@ -523,9 +523,10 @@ class SystemModel:
             self.comp_sorted = np.empty(0, dtype=np.intp)
 
     @property
-    def fast_comp(self) -> tuple[list[int], list[int], list[float]]:
+    def fast_comp(self) -> tuple[list[int], list[int], list[float], list[int]]:
         """Plain-list views of the compulsory entry arrays for hot loops:
-        ``(comp_sorted, comp_objects, entry_sizes)`` — built lazily once.
+        ``(comp_sorted, comp_objects, entry_sizes, comp_indptr)`` — built
+        lazily once.
         """
         cached = getattr(self, "_fast_comp_cache", None)
         if cached is None:
@@ -533,9 +534,33 @@ class SystemModel:
                 self.comp_sorted.tolist(),
                 self.comp_objects.tolist(),
                 self.sizes[self.comp_objects].tolist(),
+                self.comp_indptr.tolist(),
             )
             self._fast_comp_cache = cached
         return cached
+
+    def replace(
+        self,
+        *,
+        servers: Sequence[ServerSpec] | None = None,
+        repository: RepositorySpec | None = None,
+        pages: Sequence[PageSpec] | None = None,
+    ) -> "SystemModel":
+        """A new model with the given specs swapped in.
+
+        Every field not named — objects, and the stream topology of a
+        ``k > 2`` replica mesh — carries over, so a derived model keeps
+        the parent's ``n_streams``, ``stream_rates`` and
+        ``stream_overheads``.  Replacement servers must keep their
+        repository connections (stream 1 of the topology).
+        """
+        return SystemModel(
+            self.servers if servers is None else servers,
+            self.repository if repository is None else repository,
+            self.pages if pages is None else pages,
+            self.objects,
+            topology=StreamTopology(self.stream_rates, self.stream_overheads),
+        )
 
     # ------------------------------------------------------------------
     # convenience accessors

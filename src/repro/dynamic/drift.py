@@ -55,7 +55,7 @@ def replace_frequencies(model: SystemModel, frequencies: np.ndarray) -> SystemMo
         )
         for j, p in enumerate(model.pages)
     ]
-    clone = SystemModel(model.servers, model.repository, pages, model.objects)
+    clone = model.replace(pages=pages)
     adopt_frequency_context(model, clone)
     return clone
 

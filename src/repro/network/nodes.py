@@ -79,7 +79,7 @@ class LocalServerNode:
         """PARTITION + restoration for this server's pages only."""
         m = self.alloc.model
         for j in m.pages_by_server[self.server_id]:
-            marks, _, _ = partition_page(m, j)
+            marks, _, _, _ = partition_page(m, j)
             sl = m.comp_slice(j)
             for off, val in enumerate(marks):
                 if val:

@@ -147,10 +147,10 @@ class TestForServers:
         ctx = EvalContext.for_servers(model, servers)
         sub = ctx.model
         page_member, comp_member, _ = _member_masks(model, servers)
-        full_marks, _, _ = partition_pages_batched(
+        full_marks, _, _, _ = partition_pages_batched(
             model, page_ids=np.flatnonzero(page_member)
         )
-        sub_marks, _, _ = partition_pages_batched(sub)
+        sub_marks, _, _, _ = partition_pages_batched(sub)
         got = np.zeros(len(model.comp_objects), dtype=bool)
         got[ctx.global_comp_entries[sub_marks]] = True
         np.testing.assert_array_equal(got, full_marks)

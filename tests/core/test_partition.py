@@ -17,37 +17,37 @@ from repro.core.partition import partition_all, partition_page
 
 class TestPartitionPage:
     def test_page3_trace(self, micro_model):
-        marks, local_t, remote_t = partition_page(micro_model, 3)
+        marks, _, local_t, (remote_t,) = partition_page(micro_model, 3)
         # compulsory order is (0, 2, 3): object 0 remote, 2 and 3 local
         assert marks.tolist() == [False, True, True]
         assert local_t == pytest.approx(201.5)
         assert remote_t == pytest.approx(102.5)
 
     def test_page0_all_local(self, micro_model):
-        marks, local_t, remote_t = partition_page(micro_model, 0)
+        marks, _, local_t, (remote_t,) = partition_page(micro_model, 0)
         assert marks.tolist() == [True, True]
         assert local_t == pytest.approx(41.0)
         assert remote_t == pytest.approx(2.0)
 
     def test_page1(self, micro_model):
-        marks, local_t, remote_t = partition_page(micro_model, 1)
+        marks, _, local_t, (remote_t,) = partition_page(micro_model, 1)
         assert marks.tolist() == [True]
         assert local_t == pytest.approx(51.0)
 
     def test_page2(self, micro_model):
-        marks, _, _ = partition_page(micro_model, 2)
+        marks, _, _, _ = partition_page(micro_model, 2)
         assert marks.tolist() == [True, True]
 
     def test_allowed_restriction(self, micro_model):
         # page 3 with only object 2 allowed: 3 and 0 forced remote
-        marks, local_t, remote_t = partition_page(micro_model, 3, allowed={2})
+        marks, _, local_t, (remote_t,) = partition_page(micro_model, 3, allowed={2})
         assert marks.tolist() == [False, True, False]
         # remote carries 400+100, local carries 300:
         assert remote_t == pytest.approx(2.5 + 500.0)
         assert local_t == pytest.approx(61.5 + 60.0)
 
     def test_allowed_empty_all_remote(self, micro_model):
-        marks, local_t, remote_t = partition_page(micro_model, 3, allowed=set())
+        marks, _, local_t, (remote_t,) = partition_page(micro_model, 3, allowed=set())
         assert not marks.any()
         assert remote_t == pytest.approx(802.5)
 
@@ -60,7 +60,7 @@ class TestPartitionPage:
         extremes.
         """
         for j in range(0, small_model.n_pages, 7):
-            marks, lt, rt = partition_page(small_model, j)
+            marks, _, lt, (rt,) = partition_page(small_model, j)
             page = small_model.pages[j]
             srv = small_model.servers[page.server]
             total = sum(small_model.objects[k].size for k in page.compulsory)
@@ -78,7 +78,7 @@ class TestPartitionPage:
         base = build_micro_model()
         pages = list(base.pages) + [PageSpec(4, 0, 150, 1.0)]
         m = SystemModel(base.servers, base.repository, pages, base.objects)
-        marks, lt, rt = partition_page(m, 4)
+        marks, _, lt, (rt,) = partition_page(m, 4)
         assert len(marks) == 0
         assert lt == pytest.approx(1.0 + 0.1 * 150)
         assert rt == pytest.approx(2.0)
@@ -88,7 +88,7 @@ class TestPartitionAll:
     def test_marks_match_per_page(self, micro_model):
         alloc = partition_all(micro_model)
         for j in range(micro_model.n_pages):
-            marks, _, _ = partition_page(micro_model, j)
+            marks, _, _, _ = partition_page(micro_model, j)
             assert np.array_equal(alloc.page_comp_marks(j), marks)
 
     def test_optional_all_policy(self, micro_model):

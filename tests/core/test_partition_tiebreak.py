@@ -56,13 +56,13 @@ class TestTieBreak:
         """Step 1: 150 vs 150 -> tie -> LOCAL (local=150).
         Step 2: remote 150 < local 200 -> remote (remote=150).
         Step 3: 200 vs 200 -> tie -> LOCAL."""
-        marks, local_t, remote_t = partition_page(tie_model, 0)
+        marks, _, local_t, (remote_t,) = partition_page(tie_model, 0)
         assert marks.tolist() == [True, False, True]
         assert local_t == 200.0
         assert remote_t == 150.0
 
     def test_batched_encodes_identical_predicate(self, tie_model):
-        marks, local_t, remote_t = partition_pages_batched(tie_model)
+        marks, _, local_t, (remote_t,) = partition_pages_batched(tie_model)
         assert marks.tolist() == [True, False, True]
         assert local_t[0] == 200.0
         assert remote_t[0] == 150.0
@@ -70,17 +70,17 @@ class TestTieBreak:
     def test_tie_with_whitelist(self, tie_model):
         """A whitelisted tie object still goes local; a non-whitelisted
         one is forced remote regardless of the tie."""
-        marks, _, _ = partition_page(tie_model, 0, allowed={0, 1, 2})
+        marks, _, _, _ = partition_page(tie_model, 0, allowed={0, 1, 2})
         assert marks.tolist() == [True, False, True]
         # object 0 excluded -> forced remote (remote=150); object 1:
         # local 150 < remote 200 -> local; object 2: 200 vs 200 tie ->
         # LOCAL again.
-        marks, local_t, remote_t = partition_page(tie_model, 0, allowed={1, 2})
+        marks, _, local_t, (remote_t,) = partition_page(tie_model, 0, allowed={1, 2})
         assert marks.tolist() == [False, True, True]
         assert local_t == 200.0
         assert remote_t == 150.0
 
         mask = np.array([False, True, True])
-        bmarks, blt, brt = partition_pages_batched(tie_model, allowed_mask=mask)
+        bmarks, _, blt, (brt,) = partition_pages_batched(tie_model, allowed_mask=mask)
         assert np.array_equal(bmarks, marks)
         assert blt[0] == local_t and brt[0] == remote_t

@@ -104,6 +104,44 @@ class TestBitIdentity:
         assert stats.churn_bytes_added == 0.0
         assert stats.churn_bytes_removed == 0.0
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rotation_rebuild_matches_full_resolve(self, k, policy):
+        """Storage-constrained k-stream models with an uncapacitated
+        repository (OFF_LOADING is k=2-only): the rebuilt pages must
+        carry the batched kernel's marks *and* streams — a stale stream
+        left by the previous epoch's evictions would skew restoration —
+        and the stream topology must survive the drift."""
+        from repro.core.partition import partition_all
+        from repro.experiments.scaling import (
+            clone_with_capacities,
+            storage_capacities_for_fraction,
+        )
+
+        params = WorkloadParams.tiny().with_(
+            n_streams=k,
+            n_repositories=max(WorkloadParams.tiny().n_repositories, k - 1),
+            storage_capacity=float("inf"),
+            processing_capacity=float("inf"),
+        )
+        base = generate_workload(params, seed=5)
+        caps = storage_capacities_for_fraction(base, partition_all(base), 0.6)
+        model = clone_with_capacities(base, storage=caps)
+        rp = IncrementalReplanner(
+            policy, model, IncrementalConfig(audit_every=0)
+        )
+        truth = rotate_hot_set(model, fraction=1.0, seed=1, servers=[0])
+        assert truth.n_streams == k
+        stats = rp.replan(truth)
+        assert stats.mode == "incremental"
+        assert stats.rebuilt_servers
+        full = policy.run(truth)
+        assert np.array_equal(rp.allocation.comp_local, full.allocation.comp_local)
+        assert np.array_equal(
+            rp.allocation.comp_stream, full.allocation.comp_stream
+        )
+        assert np.array_equal(rp.allocation.opt_local, full.allocation.opt_local)
+        assert stats.objective == full.objective
+
     def test_adopts_new_model_instance(self, tiny_model, policy):
         rp = IncrementalReplanner(policy, tiny_model)
         clone = replace_frequencies(tiny_model, tiny_model.frequencies)

@@ -28,7 +28,7 @@ ORDERS = ("decreasing", "increasing", "document")
 def assert_batch_matches_oracle(model, order, allowed_per_server=None):
     """Bit-exact comparison of the batch kernel against the scalar oracle."""
     mask = comp_allowed_mask(model, allowed_per_server)
-    marks, local_t, remote_t = partition_pages_batched(
+    marks, _, local_t, (remote_t,) = partition_pages_batched(
         model, allowed_mask=mask, order=order
     )
     for j in range(model.n_pages):
@@ -37,7 +37,7 @@ def assert_batch_matches_oracle(model, order, allowed_per_server=None):
             if allowed_per_server is None
             else allowed_per_server.get(model.pages[j].server, ())
         )
-        ref_marks, ref_lt, ref_rt = partition_page(model, j, allowed, order=order)
+        ref_marks, _, ref_lt, (ref_rt,) = partition_page(model, j, allowed, order=order)
         sl = model.comp_slice(j)
         assert np.array_equal(marks[sl], ref_marks), f"page {j} marks diverge"
         assert local_t[j] == ref_lt, f"page {j} local time diverges"
@@ -118,8 +118,8 @@ def test_batched_page_subset_matches_full_run(model, data):
         ),
         label="page subset",
     )
-    full_marks, full_lt, full_rt = partition_pages_batched(model)
-    sub_marks, sub_lt, sub_rt = partition_pages_batched(
+    full_marks, _, full_lt, (full_rt,) = partition_pages_batched(model)
+    sub_marks, _, sub_lt, (sub_rt,) = partition_pages_batched(
         model, page_ids=np.asarray(subset, dtype=np.intp)
     )
     for pos, j in enumerate(subset):

@@ -1,10 +1,10 @@
 """Differential-oracle property tests for the batched restoration kernel.
 
-The scalar greedy loops in :mod:`repro.core.restoration` and
-:mod:`repro.core.offload` are the reference oracles; the batched kernel
+The scalar greedy loops in :mod:`repro.core.restoration` are the
+reference oracles; the batched kernel
 (:mod:`repro.core.fast_restoration`) must reproduce their **decision
-sequences bit-exactly** — same evictions, same comp/opt switches, same
-absorption rounds, in the same order.  Rather than instrumenting the
+sequences bit-exactly** — same evictions, same comp/opt switches, in
+the same order, at every stream count k.  Rather than instrumenting the
 loops, the tests compare everything the decisions determine: final
 ``comp_local``/``opt_local`` masks, replica sets, and the phase
 statistics dataclasses (whose counters and float deltas only coincide
@@ -17,7 +17,8 @@ Two layers:
   ``purge_dead`` reserve mode (death is permanent there, matching the
   engine contract);
 * engine level — each restoration phase run under both kernels on
-  random capacity-constrained models, with each kernel building its own
+  random capacity-constrained k ∈ {2, 3, 4} models, with each kernel
+  building its own
   input allocation via an identical ``partition_all`` (no shared state,
   no deepcopy aliasing).
 """
@@ -28,23 +29,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.constraints import (
-    html_request_load,
-    local_processing_load,
-    repository_load,
-)
+from repro.core.constraints import html_request_load, local_processing_load
 from repro.core.cost_model import CostModel
-from repro.core.fast_restoration import VectorLazyHeap
-from repro.core.offload import OffloadConfig, offload_repository
+from repro.core.fast_restoration import VectorLazyHeap, restore_storage_batched
 from repro.core.partition import partition_all
 from repro.core.restoration import (
     _TOL,
+    StorageRestorationStats,
     _LazyHeap,
     restore_processing_capacity,
     restore_storage_capacity,
 )
-from repro.core.types import RepositorySpec, ServerSpec, SystemModel
-from tests.properties.strategies import system_models
+from repro.experiments.scaling import clone_with_capacities
+from tests.properties.strategies import mesh_models
 
 # ----------------------------------------------------------------------
 # heap level
@@ -160,29 +157,8 @@ def test_vector_heap_drains_interleaved_ties():
 # ----------------------------------------------------------------------
 # engine level
 # ----------------------------------------------------------------------
-def _with_capacities(model, storage=None, processing=None, repo=None):
-    servers = [
-        ServerSpec(
-            server_id=s.server_id,
-            storage_capacity=(
-                s.storage_capacity if storage is None else float(storage[i])
-            ),
-            processing_capacity=(
-                s.processing_capacity
-                if processing is None
-                else float(processing[i])
-            ),
-            rate=s.rate,
-            overhead=s.overhead,
-            repo_rate=s.repo_rate,
-            repo_overhead=s.repo_overhead,
-        )
-        for i, s in enumerate(model.servers)
-    ]
-    repo_spec = model.repository
-    if repo is not None:
-        repo_spec = RepositorySpec(processing_capacity=float(repo))
-    return SystemModel(servers, repo_spec, model.pages, model.objects)
+def _with_capacities(model, storage=None, processing=None):
+    return clone_with_capacities(model, storage=storage, processing=processing)
 
 
 def _assert_same_decisions(m2, phase):
@@ -195,6 +171,7 @@ def _assert_same_decisions(m2, phase):
         out[kernel] = (alloc, stats)
     a, b = out["scalar"][0], out["batched"][0]
     assert np.array_equal(a.comp_local, b.comp_local)
+    assert np.array_equal(a.comp_stream, b.comp_stream)
     assert np.array_equal(a.opt_local, b.opt_local)
     for i in range(m2.n_servers):
         assert a.replicas[i] == b.replicas[i]
@@ -202,7 +179,7 @@ def _assert_same_decisions(m2, phase):
     b.check_invariants()
 
 
-@given(system_models(), st.floats(0.0, 1.0))
+@given(mesh_models(), st.floats(0.0, 1.0))
 @settings(max_examples=50, deadline=None)
 def test_storage_restoration_kernels_identical(model, frac):
     ref = partition_all(model)
@@ -213,7 +190,26 @@ def test_storage_restoration_kernels_identical(model, frac):
     )
 
 
-@given(system_models(), st.floats(0.0, 1.0))
+@given(mesh_models(), st.floats(0.0, 1.0))
+@settings(max_examples=30, deadline=None)
+def test_storage_batched_repartition_identical(model, frac):
+    """Every flip set through the batched re-partition kernel (the
+    default size threshold keeps small models on the scalar one)."""
+    ref = partition_all(model)
+    caps = model.html_bytes_by_server() + frac * ref.stored_bytes_all() + 1.0
+
+    def every_flip_batched(alloc, cost, kernel):
+        if kernel == "scalar":
+            return restore_storage_capacity(alloc, cost, kernel="scalar")
+        stats = StorageRestorationStats()
+        for i in range(alloc.model.n_servers):
+            stats.merge(restore_storage_batched(alloc, cost, i, batch_min_pages=1))
+        return stats
+
+    _assert_same_decisions(_with_capacities(model, storage=caps), every_flip_batched)
+
+
+@given(mesh_models(), st.floats(0.0, 1.0))
 @settings(max_examples=50, deadline=None)
 def test_processing_restoration_kernels_identical(model, frac):
     ref = partition_all(model)
@@ -225,15 +221,4 @@ def test_processing_restoration_kernels_identical(model, frac):
     _assert_same_decisions(
         _with_capacities(model, processing=caps),
         lambda a, c, k: restore_processing_capacity(a, c, kernel=k),
-    )
-
-
-@given(system_models(), st.floats(0.05, 1.0))
-@settings(max_examples=50, deadline=None)
-def test_offload_kernels_identical(model, frac):
-    ref = partition_all(model)
-    repo = max(frac * repository_load(ref), 1e-6)
-    _assert_same_decisions(
-        _with_capacities(model, repo=repo),
-        lambda a, c, k: offload_repository(a, c, OffloadConfig(), kernel=k),
     )

@@ -17,7 +17,7 @@ def test_partition_times_match_cost_model(model):
     cost = CostModel(model)
     times = cost.page_times(alloc)
     for j in range(model.n_pages):
-        _, lt, rt = partition_page(model, j)
+        _, _, lt, (rt,) = partition_page(model, j)
         assert np.isclose(lt, times.local[j])
         assert np.isclose(rt, times.remote[j])
 
@@ -34,9 +34,9 @@ def test_partition_marks_within_compulsory(model):
 @settings(max_examples=50, deadline=None)
 def test_allowed_none_is_unrestricted(model):
     for j in range(model.n_pages):
-        a, lt_a, rt_a = partition_page(model, j, allowed=None)
+        a, _, lt_a, (rt_a,) = partition_page(model, j, allowed=None)
         universe = set(range(model.n_objects))
-        b, lt_b, rt_b = partition_page(model, j, allowed=universe)
+        b, _, lt_b, (rt_b,) = partition_page(model, j, allowed=universe)
         assert np.array_equal(a, b)
         assert np.isclose(lt_a, lt_b) and np.isclose(rt_a, rt_b)
 
@@ -45,7 +45,7 @@ def test_allowed_none_is_unrestricted(model):
 @settings(max_examples=50, deadline=None)
 def test_allowed_empty_forces_remote(model):
     for j in range(model.n_pages):
-        marks, lt, rt = partition_page(model, j, allowed=set())
+        marks, _, lt, (rt,) = partition_page(model, j, allowed=set())
         assert not marks.any()
         page = model.pages[j]
         srv = model.servers[page.server]
@@ -98,14 +98,14 @@ def test_restricting_allowed_never_beats_optimum(model):
     """
     rng = np.random.default_rng(0)
     for j in range(model.n_pages):
-        _, lt, rt = partition_page(model, j)
+        _, _, lt, (rt,) = partition_page(model, j)
         page = model.pages[j]
         if not page.compulsory:
             continue
         opt_full = _optimal_page_max(model, j)
         assert max(lt, rt) >= opt_full - 1e-9
         subset = {k for k in page.compulsory if rng.random() < 0.5}
-        marks, lt2, rt2 = partition_page(model, j, allowed=subset)
+        marks, _, lt2, (rt2,) = partition_page(model, j, allowed=subset)
         marked = {k for k, m in zip(page.compulsory, marks) if m}
         assert marked <= subset
         opt_sub = _optimal_page_max(model, j, allowed=subset)
@@ -123,7 +123,7 @@ def test_greedy_local_improvement(model):
     balanced max must never exceed the all-on-one-stream bound.
     """
     for j in range(model.n_pages):
-        marks, lt, rt = partition_page(model, j)
+        marks, _, lt, (rt,) = partition_page(model, j)
         page = model.pages[j]
         srv = model.servers[page.server]
         total = sum(model.objects[k].size for k in page.compulsory)

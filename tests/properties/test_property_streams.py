@@ -8,9 +8,9 @@ Two contracts pin the argmin-over-k engine:
   dump-everything-on-one-stream bound.  (Idle streams still charge
   their Eq. 4 overhead — the k=2 convention carried over — so optima
   of *restricted* stream subsets are not comparable per page.)
-* **Degeneracy** — at ``k = 2`` the multipath kernels must be
-  field-by-field identical to the classic pair: same marks, all
-  streams = 1, bit-equal times, equal allocations and objectives.
+* **Differential** — the scalar and batched kernels agree field by
+  field (marks, streams, bit-equal times) at every k, the paper's
+  k = 2 included.
 """
 
 import itertools
@@ -20,16 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost_model import CostModel
-from repro.core.fast_partition import (
-    partition_pages_batched,
-    partition_pages_multipath,
-)
-from repro.core.partition import (
-    partition_all,
-    partition_page,
-    partition_page_streams,
-)
-from tests.properties.strategies import mesh_models, system_models
+from repro.core.fast_partition import partition_pages_batched
+from repro.core.partition import partition_all, partition_page
+from tests.properties.strategies import mesh_models
 
 
 def _page_net(model, j):
@@ -72,7 +65,7 @@ def _optimal_kway_max(model, j):
 def test_kway_greedy_vs_bruteforce(model):
     """Brute force ≤ greedy ≤ worst dump-everything-on-one-stream."""
     for j in range(model.n_pages):
-        marks, streams, lt, stream_times = partition_page_streams(model, j)
+        marks, streams, lt, stream_times = partition_page(model, j)
         greedy = max([lt] + list(stream_times))
         opt = _optimal_kway_max(model, j)
         assert greedy >= opt - 1e-9
@@ -86,46 +79,24 @@ def test_kway_greedy_vs_bruteforce(model):
         assert greedy <= bound + 1e-9
 
 
-@given(mesh_models(min_streams=3, max_streams=4, max_pages=4))
-@settings(max_examples=40, deadline=None)
+@given(mesh_models(min_streams=2, max_streams=4, max_pages=4))
+@settings(max_examples=60, deadline=None)
 def test_kway_scalar_matches_batched(model):
-    """Scalar and batched multipath kernels agree field-by-field at k>2."""
-    b_marks, b_streams, b_lt, b_st = partition_pages_multipath(model)
+    """Scalar and batched kernels agree field-by-field at every k."""
+    b_marks, b_streams, b_lt, b_st = partition_pages_batched(model)
+    assert b_st.shape == (model.n_streams - 1, model.n_pages)
     for j in range(model.n_pages):
         sl = model.comp_slice(j)
-        marks, streams, lt, stream_times = partition_page_streams(model, j)
+        marks, streams, lt, stream_times = partition_page(model, j)
         assert np.array_equal(marks, b_marks[sl])
-        rem = ~marks
-        assert np.array_equal(streams[rem], b_streams[sl][rem])
+        assert np.array_equal(streams, b_streams[sl])
+        assert (streams[marks] == 1).all()
         assert lt == b_lt[j]
         assert [t[j] for t in b_st] == list(stream_times)
 
 
-@given(system_models())
-@settings(max_examples=60, deadline=None)
-def test_k2_multipath_is_bit_identical(model):
-    """At k=2 the multipath kernels reproduce the classic pair exactly:
-    same marks, every remote entry on stream 1, bit-equal times."""
-    assert model.n_streams == 2
-    m_marks, m_streams, m_lt, m_st = partition_pages_multipath(model)
-    b_marks, b_lt, b_rt = partition_pages_batched(model)
-    assert np.array_equal(m_marks, b_marks)
-    assert (m_streams[~m_marks] == 1).all()
-    assert np.array_equal(m_lt, b_lt)
-    assert m_st.shape == (1, model.n_pages)
-    assert np.array_equal(m_st[0], b_rt)
-    for j in range(model.n_pages):
-        s_marks, s_streams, s_lt, s_times = partition_page_streams(model, j)
-        c_marks, c_lt, c_rt = partition_page(model, j)
-        sl = model.comp_slice(j)
-        assert np.array_equal(s_marks, c_marks)
-        assert np.array_equal(s_marks, m_marks[sl])
-        assert s_lt == c_lt == m_lt[j]
-        assert s_times == [c_rt] == [m_st[0][j]]
-
-
 @given(
-    mesh_models(min_streams=3, max_streams=4, max_pages=5),
+    mesh_models(min_streams=2, max_streams=4, max_pages=5),
     st.sampled_from(["batched", "scalar"]),
 )
 @settings(max_examples=40, deadline=None)

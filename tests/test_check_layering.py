@@ -1,0 +1,50 @@
+"""The layering lint's k-stream rule: no stream-count forks in core."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "check_layering.py"
+_spec = importlib.util.spec_from_file_location("check_layering", _SCRIPT)
+check_layering = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_layering)
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "if ctx.n_streams == 2:\n    x = 1\n",
+        "fast = self.n_rem == 1\n",
+        "if k > 2:\n    pass\n",
+        "y = 2 != model.n_streams\n",
+        "if getattr(model, 'n_streams', 2) > 2:\n    x = 1\n",
+    ],
+)
+def test_stream_count_fork_is_flagged(snippet):
+    assert check_layering.stream_fork_lines(snippet) != []
+
+
+def test_k2_only_guard_is_allowed():
+    snippet = (
+        "if alloc.ctx.n_streams > 2:\n"
+        "    raise NotImplementedError('k=2 only')\n"
+        "if getattr(model, 'n_streams', 2) > 2:\n"
+        "    raise NotImplementedError\n"
+    )
+    assert check_layering.stream_fork_lines(snippet) == []
+
+
+def test_other_comparisons_pass():
+    snippet = (
+        "for r in range(1, ctx.n_streams):\n"
+        "    if r == best:\n"
+        "        pass\n"
+        "if len(pages) >= 8:\n"
+        "    pass\n"
+    )
+    assert check_layering.stream_fork_lines(snippet) == []
+
+
+def test_source_tree_is_clean():
+    assert check_layering.check() == []

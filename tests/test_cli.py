@@ -48,6 +48,15 @@ class TestCommands:
         assert rc == 0
         assert "Figure 1" in out
 
+    def test_fig1_streams_full_storage_is_baseline(self, capsys):
+        """Every capacity point keeps the k=3 topology, so the 100%
+        storage tick is the unconstrained k=3 baseline itself."""
+        rc = main(["--scale", "tiny", "--runs", "1", "--streams", "3", "fig1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        row = next(ln for ln in out.splitlines() if ln.startswith("| 100%"))
+        assert row.split("|")[2].strip() == "+0.0%"
+
     def test_fig2(self, capsys):
         rc = main(
             ["--scale", "tiny", "--runs", "1", "--requests", "100", "fig2"]
