@@ -75,9 +75,10 @@ SANITY_FLOOR = 1.0
 #: Sharded-kernel arm: shard count (capped at the model's server count)
 #: and the speedup floor asserted at paper scale on a ≥4-core machine.
 #: Raised from 2x once workers stopped paying O(model) setup (shard-local
-#: contexts + shm column transport), then from 3x once off-loading rounds
-#: became delta rounds over worker-resident shard state (batched
-#: absorptions, O(round-delta) transport).
+#: contexts; the model now ships once per run as a pickle that workers
+#: cache by digest), then from 3x once off-loading rounds became delta
+#: rounds over worker-resident shard state (batched absorptions,
+#: O(round-delta) transport).
 SHARD_COUNT = 4
 SHARD_FLOOR = 4.0
 SHARD_MIN_CORES = 4

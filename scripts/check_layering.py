@@ -93,27 +93,6 @@ MODULE_FORBIDDEN: dict[str, tuple[frozenset[str], str]] = {
         "experiments/cli/network so pool workers import nothing above "
         "core when they unpickle a batch",
     ),
-    "core/shm.py": (
-        frozenset(
-            {
-                "analysis",
-                "baselines",
-                "cli",
-                "core",
-                "dynamic",
-                "experiments",
-                "io",
-                "network",
-                "obs",
-                "refdb",
-                "simulation",
-                "workload",
-            }
-        ),
-        "the shared-memory arena sits below the core layer proper — it "
-        "imports nothing above util, so any layer (including future "
-        "non-core pools) can use it without dragging the kernels in",
-    ),
     "core/types.py": (
         frozenset(
             {

@@ -22,15 +22,14 @@ executor test file once more with ``REPRO_JOBS=2`` at tiny scale (and
 ``-p no:cacheprovider``, so two concurrent pytest processes can never
 race on ``.pytest_cache``), proving the multi-process path works in the
 gate environment and not just on developer machines — followed by a
-**sharded-kernel smoke**: tiny-scale CLI ``analyze`` runs with
-``REPRO_KERNEL=sharded REPRO_SHARDS=2`` — once with the default
-transport and once with ``REPRO_SHM=0`` — exercising both the
-shared-memory and the pickle-fallback fork → ship → reconcile paths end
-to end — a **delta-rounds smoke** plus a **forced-resync smoke**: the
-off-loading scatter identity tests re-run with ``REPRO_SHM=0`` and with
-``REPRO_OFFLOAD_RESYNC_EVERY=1``, covering the worker-resident delta
-protocol's pickle transport and its epoch-mismatch recovery path — and a
-a **mesh smoke**: one tiny-scale CLI ``analyze`` run with
+**sharded-kernel smoke**: a tiny-scale CLI ``analyze`` run with
+``REPRO_KERNEL=sharded REPRO_SHARDS=2``, exercising the fork → pickle →
+reconcile path end to end — a **delta-rounds smoke** plus a
+**forced-resync smoke**: the off-loading scatter identity tests, then
+the real-process identity test with a full resync forced on every
+batch (``resync_every=1``), covering the worker-resident delta protocol
+and its epoch-mismatch recovery path across a process boundary — and a
+**mesh smoke**: one tiny-scale CLI ``analyze`` run with
 ``--streams 3``, exercising the k-stream argmin-over-k engine beyond
 the degenerate k=2 topology — and a
 **dynamic smoke**: one small-scale CLI ``dynamic`` run with the
@@ -101,7 +100,6 @@ def main(argv: list[str]) -> int:
             "--cov=repro.core.fast_restoration",
             "--cov=repro.core.context",
             "--cov=repro.core.shard",
-            "--cov=repro.core.shm",
             "--cov=repro.dynamic.incremental",
             "--cov=repro.baselines.closest",
             "--cov=repro.experiments.extension_streams",
@@ -160,24 +158,9 @@ def main(argv: list[str]) -> int:
     if code != 0:
         return code
 
-    # The same sharded run with shared-memory transport forced OFF,
-    # proving the pickle fallback stays healthy on platforms without
-    # usable /dev/shm (the bug class this guards against: a change that
-    # only works when ShmArena is available).
-    shm_off_env = dict(shard_env)
-    shm_off_env.update(REPRO_SHM="0")
-    print(
-        "sharded smoke:", " ".join(shard_smoke),
-        "(REPRO_KERNEL=sharded REPRO_SHM=0)",
-    )
-    code = subprocess.call(shard_smoke, cwd=REPO_ROOT, env=shm_off_env)
-    if code != 0:
-        return code
-
-    # Delta-rounds smoke: the off-loading scatter identity tests with
-    # shared memory forced OFF, driving the worker-resident delta-round
-    # protocol (batched absorptions, epoch bookkeeping) through a real
-    # process pool over the pickle transport.
+    # Delta-rounds smoke: the off-loading scatter identity tests, driving
+    # the worker-resident delta-round protocol (batched absorptions,
+    # epoch bookkeeping) inline and through a real process pool.
     delta_smoke = [
         sys.executable,
         "-m",
@@ -189,24 +172,27 @@ def main(argv: list[str]) -> int:
         "-k",
         "scatter or delta",
     ]
-    delta_env = dict(env)
-    delta_env.update(REPRO_SHM="0")
-    print("delta-rounds smoke:", " ".join(delta_smoke), "(REPRO_SHM=0)")
-    code = subprocess.call(delta_smoke, cwd=REPO_ROOT, env=delta_env)
+    print("delta-rounds smoke:", " ".join(delta_smoke))
+    code = subprocess.call(delta_smoke, cwd=REPO_ROOT, env=env)
     if code != 0:
         return code
 
-    # Forced-resync smoke: the same scatter tests with a full epoch
-    # resync forced on every batch, proving the mismatch-recovery path
-    # (full state re-ship, frontier reads when shm is on) stays
-    # bit-identical — not just the steady-state fast path.
-    resync_env = dict(env)
-    resync_env.update(REPRO_OFFLOAD_RESYNC_EVERY="1")
-    print(
-        "forced-resync smoke:", " ".join(delta_smoke),
-        "(REPRO_OFFLOAD_RESYNC_EVERY=1)",
-    )
-    code = subprocess.call(delta_smoke, cwd=REPO_ROOT, env=resync_env)
+    # Forced-resync smoke: the real-process identity test with a full
+    # epoch resync forced on every batch, proving the mismatch-recovery
+    # path (full state re-ship) stays bit-identical across a process
+    # boundary — not just the steady-state fast path.
+    resync_smoke = [
+        sys.executable,
+        "-m",
+        "pytest",
+        "-q",
+        "-p",
+        "no:cacheprovider",
+        "tests/core/test_shard_reconcile.py::TestRealProcessPool::"
+        "test_subprocess_resync_every_batch_identity",
+    ]
+    print("forced-resync smoke:", " ".join(resync_smoke))
+    code = subprocess.call(resync_smoke, cwd=REPO_ROOT, env=env)
     if code != 0:
         return code
 

@@ -10,7 +10,7 @@ isolate *where the paper's gain comes from*:
   popular and the streams are whatever they end up being.
 * ``marking="balanced"`` — same replica set, but each page re-runs
   PARTITION restricted to the stored objects, splitting its downloads
-  across the two connections.
+  across the local and remote streams.
 
 Comparing the two against the full policy shows that (1) balancing the
 streams matters even for a popularity-chosen replica set, and (2) the
@@ -101,7 +101,8 @@ class PopularityPolicy(AllocationPolicy):
 
         Marks are installed through the bulk APIs; for ``"balanced"``
         the per-page PARTITION runs on the batched kernel restricted to
-        the stored set — both bit-identical to the scalar assembly.
+        the stored set, and its remote stream choices go into
+        ``comp_stream`` — both bit-identical to the scalar assembly.
         """
         budgets = self._budgets(model)
         alloc = Allocation(model)
@@ -118,10 +119,11 @@ class PopularityPolicy(AllocationPolicy):
                 if len(pages):
                     allowed_mask = np.zeros(len(ctx.comp_objects), dtype=bool)
                     allowed_mask[ce] = np.isin(ctx.comp_objects[ce], stored_arr)
-                    marks, _, _, _ = partition_pages_batched(
+                    marks, streams, _, _ = partition_pages_batched(
                         model, page_ids=pages, allowed_mask=allowed_mask
                     )
                     alloc.set_comp_local_bulk(marks.nonzero()[0], True)
+                    alloc.comp_stream[ce] = streams[ce]
             oe = ctx.opt_group(i)[0]
             osel = np.isin(ctx.opt_objects[oe], stored_arr)
             alloc.set_opt_local_bulk(oe[osel], True)

@@ -502,14 +502,7 @@ def offload_repository(
         injects a process-parallel scatter here; because per-server
         absorptions are independent, every conforming scatter yields
         bit-identical marks, and this function keeps all the
-        order-sensitive gather bookkeeping either way.  A scatter may
-        additionally expose ``begin(alloc)`` / ``finish()`` lifecycle
-        hooks: ``begin`` runs once before the first round (after the
-        nothing-to-do early return, so trivial negotiations never pay
-        for scatter setup) and ``finish`` runs exactly once on every
-        exit path — normal, early break, or an exception raised
-        mid-round — so round-scoped resources (the sharded kernel's
-        shared-memory mark frontier) are never leaked.
+        order-sensitive gather bookkeeping either way.
     """
     cfg = config or OffloadConfig()
     m = alloc.model
@@ -535,50 +528,42 @@ def offload_repository(
 
     reg = get_registry()
     absorb_round = absorb_round_serial if scatter is None else scatter
-    begin = getattr(absorb_round, "begin", None)
-    finish = getattr(absorb_round, "finish", None)
     demoted: set[int] = set()
     load = initial
-    if begin is not None:
-        begin(alloc)
-    try:
-        with reg.span("off-loading"):
-            for _ in range(cfg.max_rounds):
-                if load <= repo_cap + _TOL:
-                    break
-                statuses = compute_all_server_statuses(alloc)
-                plan = plan_offload_round(statuses, repo_cap, demoted)
-                if plan is None or not plan:
-                    break
-                outcome.rounds += 1
-                outcome.messages += len(plan)  # NewReq messages
-                # Scatter: each server appears at most once per round and
-                # absorption at one server never changes another's
-                # constraint slack, so the round-start statuses stay exact
-                # for every request and the absorptions commute.
-                requests = [
-                    (i, req, statuses[i].free_space > _TOL)
-                    for i, req in plan.items()
-                ]
-                achieved_by = absorb_round(
-                    alloc,
-                    cost,
-                    requests,
-                    allow_swap=cfg.allow_swap,
+    with reg.span("off-loading"):
+        for _ in range(cfg.max_rounds):
+            if load <= repo_cap + _TOL:
+                break
+            statuses = compute_all_server_statuses(alloc)
+            plan = plan_offload_round(statuses, repo_cap, demoted)
+            if plan is None or not plan:
+                break
+            outcome.rounds += 1
+            outcome.messages += len(plan)  # NewReq messages
+            # Scatter: each server appears at most once per round and
+            # absorption at one server never changes another's
+            # constraint slack, so the round-start statuses stay exact
+            # for every request and the absorptions commute.
+            requests = [
+                (i, req, statuses[i].free_space > _TOL)
+                for i, req in plan.items()
+            ]
+            achieved_by = absorb_round(
+                alloc,
+                cost,
+                requests,
+                allow_swap=cfg.allow_swap,
+            )
+            # Gather: the order-sensitive bookkeeping, in plan order.
+            for i, req in plan.items():
+                achieved = achieved_by[i]
+                outcome.absorbed_by_server[i] = (
+                    outcome.absorbed_by_server.get(i, 0.0) + achieved
                 )
-                # Gather: the order-sensitive bookkeeping, in plan order.
-                for i, req in plan.items():
-                    achieved = achieved_by[i]
-                    outcome.absorbed_by_server[i] = (
-                        outcome.absorbed_by_server.get(i, 0.0) + achieved
-                    )
-                    if achieved < req - _TOL:
-                        demoted.add(i)  # joins L3 for subsequent rounds
-                outcome.messages += len(plan)  # answers
-                load = repository_load(alloc)
-    finally:
-        if finish is not None:
-            finish()
+                if achieved < req - _TOL:
+                    demoted.add(i)  # joins L3 for subsequent rounds
+            outcome.messages += len(plan)  # answers
+            load = repository_load(alloc)
     outcome.messages += m.n_servers  # Off_Loading_END broadcast
     outcome.final_repo_load = float(load)
     outcome.restored = bool(load <= repo_cap + _TOL)

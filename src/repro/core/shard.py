@@ -43,12 +43,10 @@ round ships only the round's absorption requests down and the flipped
 of a round's absorptions addressed to the same shard travel in **one
 batched submission**, routed to a pinned worker process by
 :class:`_AffinityPool.submit_to`.  An epoch mismatch (different pool,
-evicted state, forced ``REPRO_OFFLOAD_RESYNC_EVERY``) degrades to a
-full resync: the parent re-ships the shard's mark/replica state —
-through the parent-owned shared-memory **mark frontier** the workers
-attach read-only when shm is on, or as pickled arrays otherwise —
-and the round proceeds identically (bit-identity never depends on the
-fast path being taken).
+evicted state, a forced ``resync_every``) degrades to a full resync:
+the parent re-ships the shard's mark slices and replica sets as
+arrays, and the round proceeds identically (bit-identity never depends
+on the fast path being taken).
 
 Bit-identity is the contract, not an aspiration: the merged allocation,
 objective, stats and phase list equal the ``"batched"`` kernel's exactly
@@ -65,15 +63,13 @@ and pinned by the golden regressions).  Three details make that hold:
   matches the full-model run restricted to that shard (DESIGN.md
   Appendix H).
 
-Transport: models ship to workers through a
-:class:`~repro.core.shm.ShmArena` (one shared-memory segment holding
-the immutable flat columns; workers rebuild a
-:class:`~repro.core.types.ColumnarModel` over zero-copy views) when
-shared memory is available, falling back to a content-addressed pickle
-blob otherwise (``REPRO_SHM`` / the ``shm`` parameter override, see
-:func:`repro.core.shm.resolve_shm`).  Shard results ride back the same
-way.  Both sides cache by content digest in small LRUs that release
-their shm handles on eviction.
+Transport: one wire format, pickle.  A run pickles its model once
+into a blob keyed by the blob's SHA-256 digest; workers unpickle it
+once and cache it by digest in a small LRU, so back-to-back runs over
+an equal model pay materialisation once per worker.  Shard results
+and delta-round payloads are plain pickled arrays.  The blob travels
+with the fan-out and with resync submissions only; steady-state delta
+rounds carry no model bytes.
 
 Worker processes come from an *injected* pool: anything with a
 ``submit(fn, *args) -> future`` method (the layering lint enforces that
@@ -93,7 +89,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Protocol, Sequence
 
 import numpy as np
 
@@ -115,14 +111,7 @@ from repro.core.restoration import (
     restore_processing_capacity,
     restore_storage_capacity,
 )
-from repro.core.shm import ShmArena, resolve_shm
-from repro.core.types import (
-    MODEL_COLUMN_FIELDS,
-    ColumnarModel,
-    SystemModel,
-    pack_replicas,
-    unpack_replicas,
-)
+from repro.core.types import SystemModel, pack_replicas, unpack_replicas
 from repro.obs.manifest import WORKER_ENV_VAR
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.util.validation import env_positive_int
@@ -163,9 +152,8 @@ class InlineShardPool:
     The deterministic no-subprocess harness for the differential tests
     (Hypothesis drives hundreds of examples; forking per example would
     dominate) and a zero-dependency fallback anywhere process pools are
-    unavailable.  Because it runs in-process, the driver skips both the
-    pickle round-trip and the shared-memory transport (``inline =
-    True``).
+    unavailable.  Because it runs in-process, the driver skips the
+    pickle round-trip (``inline = True``).
     """
 
     inline = True
@@ -248,13 +236,12 @@ def default_pool(workers: int) -> _AffinityPool:
 
 
 def shutdown_shard_pool() -> None:
-    """Tear down the private default pool and release parent shm arenas."""
+    """Tear down the private default pool."""
     global _POOL, _POOL_SIZE
     if _POOL is not None:
         _POOL.shutdown(wait=True, cancel_futures=True)
         _POOL = None
         _POOL_SIZE = 0
-    _PARENT_ARENAS.clear()
 
 
 atexit.register(shutdown_shard_pool)
@@ -348,145 +335,47 @@ def plan_shards(model: SystemModel, shards: int) -> tuple[tuple[int, ...], ...]:
 # content-addressed model transport
 # ----------------------------------------------------------------------
 class _Lru:
-    """Tiny ordered LRU with an eviction callback.
+    """Tiny ordered LRU: the worker-side model and resident-shard caches."""
 
-    Both model caches (worker-side unpickled/attached models, parent-side
-    model arenas) hold shared-memory resources that must be released the
-    moment an entry falls out — a plain dict would leak segments until
-    process exit.
-    """
-
-    def __init__(
-        self, cap: int, on_evict: Callable[[str, Any], None] | None = None
-    ):
+    def __init__(self, cap: int):
         self._cap = cap
-        self._on_evict = on_evict
-        self._data: OrderedDict[str, Any] = OrderedDict()
+        self._data: OrderedDict[Any, Any] = OrderedDict()
 
-    def get(self, key: str) -> Any | None:
+    def get(self, key: Any) -> Any | None:
         value = self._data.get(key)
         if value is not None:
             self._data.move_to_end(key)
         return value
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: Any, value: Any) -> None:
         self._data[key] = value
         self._data.move_to_end(key)
         while len(self._data) > self._cap:
-            k, v = self._data.popitem(last=False)
-            if self._on_evict is not None:
-                self._on_evict(k, v)
-
-    def values(self):
-        return self._data.values()
-
-    def clear(self) -> None:
-        while self._data:
-            k, v = self._data.popitem(last=False)
-            if self._on_evict is not None:
-                self._on_evict(k, v)
+            self._data.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._data)
 
 
-def _model_digest(model: SystemModel) -> str:
-    """Content digest of the model's flat columns (cached on the model).
-
-    Hashes the raw column buffers plus the repository spec and shape
-    header — no full-model pickle, so the shm fast path never serialises
-    the arrays at all.  Cached under an underscore attribute, which the
-    model's ``__getstate__`` strips, so the digest never travels.
-    """
-    cached = getattr(model, "_repro_model_digest", None)
-    if cached is not None:
-        return cached
-    h = hashlib.sha256()
-    h.update(
-        pickle.dumps(
-            (model.repository, model.n_servers, model.n_pages, model.n_objects),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-    )
-    for name in MODEL_COLUMN_FIELDS:
-        a = np.ascontiguousarray(getattr(model, name))
-        h.update(name.encode())
-        h.update(memoryview(a).cast("B"))
-    digest = h.hexdigest()
-    model._repro_model_digest = digest
-    return digest
-
-
-#: Parent-side arenas holding each model's columns in shared memory,
-#: keyed by content digest.  Two entries cover the common interleavings
-#: (e.g. a benchmark alternating between a constrained and an
-#: unconstrained clone); eviction destroys the segment — safe because
-#: every payload referencing an arena is consumed within its own
-#: ``run_sharded_policy`` call, before any other model can evict it.
-_PARENT_ARENAS = _Lru(2, lambda _digest, arena: arena.destroy())
-
-
-def _model_arena(model: SystemModel) -> tuple[str, ShmArena]:
-    """The (digest, arena) pair for ``model``, creating the arena once."""
-    digest = _model_digest(model)
-    arena = _PARENT_ARENAS.get(digest)
-    if arena is None:
-        arena = ShmArena.create(
-            {name: getattr(model, name) for name in MODEL_COLUMN_FIELDS},
-            owner=True,
-        )
-        _PARENT_ARENAS.put(digest, arena)
-    return digest, arena
-
-
-def _evict_worker_model(_digest: str, value: tuple) -> None:
-    """Release an evicted worker model's shm mapping.
-
-    Safe even though the evicted model's columns are views into the
-    arena: the LRU held the only strong reference, so by the time the
-    callback runs nothing can read those views again (closing with live
-    views dangles them on Linux — see :meth:`ShmArena.close`).  The
-    segment itself is owned (and unlinked) by the parent.
-    """
-    _model, arena = value
-    if arena is not None:
-        arena.close()
-
-
-#: Worker-side cache of materialised models, keyed by payload digest —
-#: ``(model, arena-or-None)`` values, arena present for shm payloads.
-_WORKER_MODELS = _Lru(2, _evict_worker_model)
+#: Worker-side cache of unpickled models, keyed by blob digest.
+_WORKER_MODELS = _Lru(2)
 
 
 def _model_from_payload(payload: tuple) -> SystemModel:
     """Materialise the run's model inside a worker (or inline).
 
-    Three payload kinds: ``("model", m)`` passes the object through
-    (inline pool — same process); ``("blob", digest, blob)`` unpickles a
-    full model; ``("shm", digest, handle, repo_blob)`` attaches the
-    parent's column arena and rebuilds a zero-copy
-    :class:`~repro.core.types.ColumnarModel` over its views.  The two
-    shipped kinds cache by digest so repeated runs over the same model
-    pay materialisation once per worker.
+    Two payload kinds: ``("model", m)`` passes the object through
+    (inline pool — same process); ``("blob", digest, blob)`` unpickles
+    a full model, cached by digest so repeated runs over an equal model
+    pay the unpickle once per worker.
     """
-    kind = payload[0]
-    if kind == "model":
+    if payload[0] == "model":
         return payload[1]
-    digest = payload[1]
-    cached = _WORKER_MODELS.get(digest)
-    if cached is not None:
-        return cached[0]
-    if kind == "shm":
-        _, _, handle, repo_blob = payload
-        arena = ShmArena.attach(handle, owner=False)
-        model: SystemModel = ColumnarModel.from_columns(
-            arena.arrays(), pickle.loads(repo_blob)
-        )
-    else:
-        _, _, blob = payload
-        arena = None
+    _, digest, blob = payload
+    model = _WORKER_MODELS.get(digest)
+    if model is None:
         model = pickle.loads(blob)
-    _WORKER_MODELS.put(digest, (model, arena))
+        _WORKER_MODELS.put(digest, model)
     return model
 
 
@@ -501,22 +390,10 @@ class _ShardOptions:
     alpha2: float
     optional_policy: str
     record: bool
-    use_shm: bool = False
     session: str | None = None
     """Run-unique token keying worker-resident shard state.  ``None``
     disables residency seeding (the state is then built lazily by the
     first off-loading batch's resync)."""
-
-
-#: Result arrays eligible for the shared-memory return path.
-_RESULT_ARRAY_FIELDS = (
-    "comp_partition_idx",
-    "opt_partition_idx",
-    "comp_final_idx",
-    "opt_final_idx",
-    "replica_objects",
-    "replica_indptr",
-)
 
 
 @dataclass
@@ -528,21 +405,18 @@ class _ShardResult:
     owns, so the parent reconcile is a plain index assignment, and the
     payload shrinks from O(model) to O(shard frontier).  Replicas are a
     CSR pair (``replica_objects`` concatenated per server in
-    ``server_ids`` order, ``replica_indptr`` bounds).  When the run uses
-    shared memory the arrays ride a worker-created
-    :class:`~repro.core.shm.ShmArena` whose ownership transfers to the
-    parent (:meth:`ship_shm` / :meth:`load_shm`).
+    ``server_ids`` order, ``replica_indptr`` bounds).
     """
 
     server_ids: tuple[int, ...]
     n_pages: int
     n_entries: int
-    comp_partition_idx: np.ndarray | None
-    opt_partition_idx: np.ndarray | None
-    comp_final_idx: np.ndarray | None
-    opt_final_idx: np.ndarray | None
-    replica_objects: np.ndarray | None
-    replica_indptr: np.ndarray | None
+    comp_partition_idx: np.ndarray
+    opt_partition_idx: np.ndarray
+    comp_final_idx: np.ndarray
+    opt_final_idx: np.ndarray
+    replica_objects: np.ndarray
+    replica_indptr: np.ndarray
     storage_ran: bool
     processing_ran: bool
     storage_stats: list[tuple[int, StorageRestorationStats]]
@@ -550,40 +424,6 @@ class _ShardResult:
     phase_seconds: dict[str, float] = field(default_factory=dict)
     seconds: float = 0.0
     snapshot: dict | None = None
-    shm_handle: dict | None = None
-    shm_bytes: int = 0
-
-    def ship_shm(self) -> None:
-        """Move the result arrays into a shm segment (worker side).
-
-        The worker creates the segment as a *non-owner* — the parent,
-        the only reader, adopts ownership on :meth:`load_shm` and
-        unlinks after reconcile, so a worker crash between the two never
-        strands anonymous segments beyond the run's pool lifetime.
-        """
-        arena = ShmArena.create(
-            {f: getattr(self, f) for f in _RESULT_ARRAY_FIELDS}, owner=False
-        )
-        self.shm_bytes = arena.nbytes
-        self.shm_handle = arena.handle
-        for f in _RESULT_ARRAY_FIELDS:
-            setattr(self, f, None)
-        arena.close()
-
-    def load_shm(self) -> ShmArena | None:
-        """Re-point the result arrays at the shm views (parent side)."""
-        if self.shm_handle is None:
-            return None
-        arena = ShmArena.attach(self.shm_handle, owner=True)
-        for f in _RESULT_ARRAY_FIELDS:
-            setattr(self, f, arena.get(f))
-        self.shm_handle = None
-        return arena
-
-    def release_arrays(self) -> None:
-        """Drop the array references so a backing arena can close cleanly."""
-        for f in _RESULT_ARRAY_FIELDS:
-            setattr(self, f, None)
 
 
 def _shard_pipeline(
@@ -713,8 +553,6 @@ def _run_shard(
             (opts.session, int(shard_id)),
             _ResidentShard(ctx=ctx, cost=cost, alloc=alloc, epoch=0),
         )
-    if opts.use_shm:
-        result.ship_shm()
     return result
 
 
@@ -740,14 +578,13 @@ class _ResidentShard:
 #: Worker-side resident shard states, keyed by ``(session, shard id)``.
 #: Bounded so abandoned sessions (benchmark repeats, failed runs) age
 #: out; an evicted entry just means the next batch for that shard
-#: resyncs.  No eviction callback — the values are plain heap state.
+#: resyncs.
 _RESIDENT_SHARDS: _Lru = _Lru(16)
 
 _SESSION_SEQ = itertools.count()
 
 
 def _absorb_shard_batch(
-    payload: tuple,
     opts: _ShardOptions,
     session: str,
     shard_id: int,
@@ -763,7 +600,7 @@ def _absorb_shard_batch(
     holds every ``(global_server_id, target, allow_new)`` of this
     round addressed to servers in ``server_ids``; all of them replay
     :func:`~repro.core.offload.absorb_extra_workload` on the shard's
-    resident allocation in one submission — one pickle/shm hop, one
+    resident allocation in one submission — one pickle hop, one
     context lookup.  Per-server decomposability (the
     ``absorb_round_serial`` contract) makes any batch grouping
     bit-identical to the serial reference.
@@ -771,45 +608,33 @@ def _absorb_shard_batch(
     Epoch protocol: the fast path (``sync is None``) requires the
     resident state to exist **and** match ``epoch`` exactly — anything
     else returns ``{"resync": True}`` and the parent resubmits with a
-    ``sync`` payload.  ``sync`` is either ``("state", comp_marks,
-    opt_marks, replica_objects, replica_indptr)`` — the shard's mark
-    slices in ascending global entry order plus its replica CSR — or
-    ``("frontier", handle, replica_objects, replica_indptr)``, where
-    marks are read in place from the parent-owned shared-memory mark
-    frontier instead of travelling in the submission.  Either way the
-    rebuilt state is bit-identical to the lost mirror, so a resync
-    changes transport cost only, never results.
+    ``sync`` payload ``(model_payload, comp_marks, opt_marks,
+    replica_objects, replica_indptr)``: the run's model payload (see
+    :func:`_model_from_payload`; a worker that already holds the model
+    skips the unpickle), the shard's mark slices in ascending global
+    entry order, and its replica CSR.  The rebuilt state is
+    bit-identical to the lost mirror, so a resync changes transport
+    cost only, never results.
 
     Returns per-request mark/replica deltas in global ids, concatenated
     in request order, plus the advanced epoch.
     """
     key = (session, int(shard_id))
     res: _ResidentShard | None = _RESIDENT_SHARDS.get(key)
-    frontier_read = False
     if sync is None:
         if res is None or res.epoch != int(epoch):
             return {"resync": True}
     else:
-        model = _model_from_payload(payload)
-        ctx = EvalContext.for_servers(model, server_ids)
+        payload, comp_state, opt_state, rep_objs, rep_indptr = sync
+        ctx = EvalContext.for_servers(_model_from_payload(payload), server_ids)
         sub = ctx.model
-        if sync[0] == "frontier":
-            _, handle, rep_objs, rep_indptr = sync
-            arena = ShmArena.attach(handle, owner=False)
-            # fancy indexing copies, so no view survives the close
-            comp0 = arena.get("comp_local")[ctx.global_comp_entries]
-            opt0 = arena.get("opt_local")[ctx.global_opt_entries]
-            arena.close()
-            frontier_read = True
-        else:
-            _, comp_state, opt_state, rep_objs, rep_indptr = sync
-            comp0 = np.array(comp_state, dtype=bool)
-            opt0 = np.array(opt_state, dtype=bool)
         res = _ResidentShard(
             ctx=ctx,
             cost=CostModel(sub, opts.alpha1, opts.alpha2),
             alloc=Allocation(
-                sub, comp0, opt0,
+                sub,
+                np.array(comp_state, dtype=bool),
+                np.array(opt_state, dtype=bool),
                 replicas=unpack_replicas(rep_objs, rep_indptr),
             ),
             epoch=int(epoch),
@@ -861,7 +686,6 @@ def _absorb_shard_batch(
     res.epoch = int(epoch) + 1
     return {
         "epoch": res.epoch,
-        "frontier_read": frontier_read,
         "results": out,
         "snapshot": registry.snapshot() if registry is not None else None,
     }
@@ -897,9 +721,8 @@ class _ShardedScatter:
     """Process-parallel absorption scatter for ``offload_repository``.
 
     Satisfies the :func:`~repro.core.offload.absorb_round_serial`
-    contract — and its ``begin``/``finish`` lifecycle hooks — while
-    running each round as **delta rounds over worker-resident shard
-    state**: requests group per shard into one
+    contract while running each round as **delta rounds over
+    worker-resident shard state**: requests group per shard into one
     :func:`_absorb_shard_batch` submission (routed to the shard's
     pinned worker via ``pool.submit_to`` when the pool has it), workers
     validate the round epoch and ship back only the flipped marks, and
@@ -913,21 +736,18 @@ class _ShardedScatter:
         The shard plan (ascending server ids per group, together
         covering every server).  Defaults to one server per shard —
         the standalone configuration the property harness drives.
-    sync_mode:
-        ``"delta"`` (resident fast path, the default) or ``"full"``
-        (ship the full shard state with every batch — the PR-8-shaped
-        baseline the delta/full byte accounting is measured against).
     resync_every:
-        Force a full sync on every Nth batch per shard (defaults from
-        ``REPRO_OFFLOAD_RESYNC_EVERY``); exercises the epoch-mismatch
-        recovery path deterministically.
+        Force a full sync on every Nth batch per shard; exercises the
+        epoch-mismatch recovery path deterministically.  ``1`` ships
+        the full shard state with every batch — the full-state
+        baseline the delta byte accounting is measured against.
 
     Transport accounting: :attr:`rounds_bytes` records, per round,
     the actual bytes shipped (``delta_bytes``) next to what the
     per-request full-state protocol would have shipped
-    (``full_bytes``), and ``finish`` publishes the
+    (``full_bytes``), and :meth:`publish_gauges` publishes the
     ``shard.N.delta_bytes`` / ``shard.N.resyncs`` /
-    ``offload.batched_submissions`` / ``shm.frontier_reads`` gauges.
+    ``offload.batched_submissions`` gauges.
     """
 
     def __init__(
@@ -938,24 +758,14 @@ class _ShardedScatter:
         opts: _ShardOptions,
         *,
         groups: tuple[tuple[int, ...], ...] | None = None,
-        sync_mode: str = "delta",
         resync_every: int | None = None,
     ):
-        if sync_mode not in ("delta", "full"):
-            raise ValueError(
-                f'sync_mode must be "delta" or "full", got {sync_mode!r}'
-            )
         self._pool = pool
         self._payload = payload
         self._opts = opts
         if groups is None:
             groups = tuple((i,) for i in range(model.n_servers))
         self._groups = tuple(tuple(int(i) for i in g) for g in groups)
-        self._sync_mode = sync_mode
-        if resync_every is None:
-            resync_every = env_positive_int(
-                "REPRO_OFFLOAD_RESYNC_EVERY", default=None
-            )
         self._resync_every = resync_every
         #: session keying worker-resident state; when the driver seeded
         #: residency through the fan-out this matches ``opts.session``
@@ -983,84 +793,52 @@ class _ShardedScatter:
         self._delta_bytes = [0.0] * n
         self._resyncs = [0] * n
         self._submissions = 0
-        self._frontier_reads = 0
         self._total_delta = 0.0
         self._total_full = 0.0
         #: per-round ``{"delta_bytes", "full_bytes"}`` records (the
         #: end-to-end bench persists these into BENCH json).
         self.rounds_bytes: list[dict[str, float]] = []
-        self._frontier: ShmArena | None = None
-        self._f_comp: np.ndarray | None = None
-        self._f_opt: np.ndarray | None = None
-        self._began = False
-        self._finished = False
 
-    # -- lifecycle (driven by ``offload_repository``) -------------------
-    def begin(self, alloc: Allocation) -> None:
-        """Create the shm mark frontier over the negotiation's marks."""
-        if self._began:
-            return
-        self._began = True
-        if self._opts.use_shm:
-            self._frontier = ShmArena.create(
-                {"comp_local": alloc.comp_local, "opt_local": alloc.opt_local},
-                owner=True,
-            )
-            self._f_comp = self._frontier.get("comp_local", writeable=True)
-            self._f_opt = self._frontier.get("opt_local", writeable=True)
-
-    def finish(self) -> None:
-        """Destroy the frontier and publish gauges (idempotent; runs on
-        every ``offload_repository`` exit path, exceptions included)."""
-        if self._finished:
-            return
-        self._finished = True
-        self._f_comp = None
-        self._f_opt = None
-        if self._frontier is not None:
-            self._frontier.destroy()
-            self._frontier = None
+    def publish_gauges(self) -> None:
+        """Publish the transport gauges into the active registry."""
         reg = obs.get_registry()
-        if reg.enabled:
-            for g in range(len(self._groups)):
-                reg.gauge(f"shard.{g}.delta_bytes", self._delta_bytes[g])
-                reg.gauge(f"shard.{g}.resyncs", float(self._resyncs[g]))
-            reg.gauge("offload.batched_submissions", float(self._submissions))
-            reg.gauge("shm.frontier_reads", float(self._frontier_reads))
-            reg.gauge("offload.delta_bytes", self._total_delta)
-            reg.gauge("offload.full_bytes", self._total_full)
+        if not reg.enabled:
+            return
+        for g in range(len(self._groups)):
+            reg.gauge(f"shard.{g}.delta_bytes", self._delta_bytes[g])
+            reg.gauge(f"shard.{g}.resyncs", float(self._resyncs[g]))
+        reg.gauge("offload.batched_submissions", float(self._submissions))
+        reg.gauge("offload.delta_bytes", self._total_delta)
+        reg.gauge("offload.full_bytes", self._total_full)
 
     # -- wire helpers ---------------------------------------------------
     def _needs_sync(self, g: int) -> bool:
-        if self._sync_mode == "full" or not self._synced[g]:
+        if not self._synced[g]:
             return True
         every = self._resync_every
         return every is not None and self._batches[g] % every == 0
 
     def _sync_payload(self, g: int, alloc: Allocation) -> tuple[tuple, float]:
-        """The shard's full current state, plus its shipped byte count."""
+        """The shard's full current state, plus its shipped byte count.
+
+        The model payload rides along so a worker without the model can
+        rebuild the shard context; it is not counted, since workers
+        cache it by digest after the fan-out."""
         grp = self._groups[g]
         rep_objs, rep_indptr = pack_replicas([alloc.replicas[i] for i in grp])
-        if self._frontier is not None:
-            # marks ride the shared frontier — only the CSR travels
-            payload = ("frontier", self._frontier.handle, rep_objs, rep_indptr)
-            nbytes = float(rep_objs.nbytes + rep_indptr.nbytes)
-        else:
-            comp_idx = self._comp_order[
-                self._comp_bounds[g] : self._comp_bounds[g + 1]
-            ]
-            opt_idx = self._opt_order[
-                self._opt_bounds[g] : self._opt_bounds[g + 1]
-            ]
-            comp_state = alloc.comp_local[comp_idx]
-            opt_state = alloc.opt_local[opt_idx]
-            payload = ("state", comp_state, opt_state, rep_objs, rep_indptr)
-            nbytes = float(
-                comp_state.nbytes
-                + opt_state.nbytes
-                + rep_objs.nbytes
-                + rep_indptr.nbytes
-            )
+        comp_state = alloc.comp_local[
+            self._comp_order[self._comp_bounds[g] : self._comp_bounds[g + 1]]
+        ]
+        opt_state = alloc.opt_local[
+            self._opt_order[self._opt_bounds[g] : self._opt_bounds[g + 1]]
+        ]
+        payload = (self._payload, comp_state, opt_state, rep_objs, rep_indptr)
+        nbytes = float(
+            comp_state.nbytes
+            + opt_state.nbytes
+            + rep_objs.nbytes
+            + rep_indptr.nbytes
+        )
         return payload, nbytes
 
     def _submit(
@@ -1072,7 +850,6 @@ class _ShardedScatter:
     ):
         self._submissions += 1
         args = (
-            self._payload,
             self._opts,
             self._session,
             int(g),
@@ -1096,7 +873,6 @@ class _ShardedScatter:
         *,
         allow_swap: bool = True,
     ) -> dict[int, float]:
-        self.begin(alloc)  # no-op when offload_repository already did
         by_shard: dict[int, list[tuple[int, float, bool]]] = {}
         for i, req, allow_new in requests:
             g = int(self._shard_of[i])
@@ -1136,7 +912,6 @@ class _ShardedScatter:
             self._epochs[g] = int(res["epoch"])
             self._synced[g] = True
             self._batches[g] += 1
-            self._frontier_reads += int(bool(res["frontier_read"]))
             for r in res["results"]:
                 by_server[r["server"]] = r
                 nb = _delta_nbytes(r)
@@ -1159,11 +934,6 @@ class _ShardedScatter:
                 r["replica_add"],
                 r["replica_remove"],
             )
-            if self._f_comp is not None:
-                self._f_comp[r["comp_set"]] = True
-                self._f_comp[r["comp_clear"]] = False
-                self._f_opt[r["opt_set"]] = True
-                self._f_opt[r["opt_clear"]] = False
             achieved[i] = r["achieved"]
             # What the pre-resident protocol would have shipped for this
             # request: full mark slices + replicas down, mark deltas +
@@ -1191,34 +961,6 @@ class _ShardedScatter:
 # ----------------------------------------------------------------------
 # parent side: fan out, reconcile, replay the global phases
 # ----------------------------------------------------------------------
-def _gather_shard_results(futures: list) -> list[_ShardResult]:
-    """Collect every fan-out result, releasing arenas if any shard failed.
-
-    Waits on *all* futures even after a failure: a successful shard may
-    have created a worker-side result arena whose ownership only
-    transfers to the parent on load, so bailing out at the first
-    exception would strand ``/dev/shm`` segments for the pool's
-    lifetime.  On failure, every successfully returned result is
-    adopted-and-destroyed before the first exception re-raises.
-    """
-    results: list[_ShardResult] = []
-    first_exc: BaseException | None = None
-    for f in futures:
-        try:
-            results.append(f.result())
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            if first_exc is None:
-                first_exc = exc
-    if first_exc is not None:
-        for r in results:
-            arena = r.load_shm()
-            r.release_arrays()
-            if arena is not None:
-                arena.destroy()
-        raise first_exc
-    return results
-
-
 def run_sharded_policy(
     model: SystemModel,
     alpha1: float = 2.0,
@@ -1227,7 +969,6 @@ def run_sharded_policy(
     offload_config: OffloadConfig | None = None,
     shards: int | None = None,
     pool: ShardPool | None = None,
-    shm: bool | None = None,
 ) -> "PolicyResult":
     """The full policy pipeline, sharded over a worker pool.
 
@@ -1244,11 +985,6 @@ def run_sharded_policy(
         Injected :class:`ShardPool`; defaults to this module's private
         persistent :func:`default_pool`.  Pass
         :class:`InlineShardPool` to run serially in-process.
-    shm:
-        Shared-memory transport override, resolved via
-        :func:`repro.core.shm.resolve_shm` (explicit → ``REPRO_SHM`` →
-        available).  Ignored (off) for inline pools — there is no
-        process boundary to cross.
     """
     from repro.core.policy import PolicyResult
 
@@ -1264,29 +1000,16 @@ def run_sharded_policy(
     groups = plan_shards(model, n_shards)
     if pool is None:
         pool = default_pool(len(groups))
-    inline = bool(getattr(pool, "inline", False))
-    use_shm = False if inline else resolve_shm(shm)
-    pickle_bytes_avoided = 0.0
-    if inline:
+    if getattr(pool, "inline", False):
         payload: tuple = ("model", model)
-    elif use_shm:
-        digest, arena = _model_arena(model)
-        payload = (
-            "shm",
-            "shm:" + digest,
-            arena.handle,
-            pickle.dumps(model.repository, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        pickle_bytes_avoided += float(arena.nbytes)
     else:
         blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
-        payload = ("blob", "blob:" + hashlib.sha256(blob).hexdigest(), blob)
+        payload = ("blob", hashlib.sha256(blob).hexdigest(), blob)
     opts = _ShardOptions(
         alpha1=alpha1,
         alpha2=alpha2,
         optional_policy=optional_policy,
         record=reg.enabled,
-        use_shm=use_shm,
         session=f"run-{os.getpid()}-{next(_SESSION_SEQ)}",
     )
 
@@ -1308,7 +1031,7 @@ def run_sharded_policy(
                     pool.submit(_run_shard, payload, group, opts, g)
                     for g, group in enumerate(groups)
                 ]
-            results = _gather_shard_results(futures)
+            results: list[_ShardResult] = [f.result() for f in futures]
 
         ne_c = len(model.comp_objects)
         ne_o = len(model.opt_objects)
@@ -1317,13 +1040,7 @@ def run_sharded_policy(
         comp_fin = np.zeros(ne_c, dtype=bool)
         opt_fin = np.zeros(ne_o, dtype=bool)
         replicas: list[set[int] | None] = [None] * model.n_servers
-        result_arenas: list[ShmArena] = []
         for r in results:
-            arena = r.load_shm()
-            if arena is not None:
-                arena.unlink()  # name gone now; memory lives until close
-                result_arenas.append(arena)
-                pickle_bytes_avoided += float(arena.nbytes)
             comp_part[r.comp_partition_idx] = True
             opt_part[r.opt_partition_idx] = True
             comp_fin[r.comp_final_idx] = True
@@ -1334,9 +1051,6 @@ def run_sharded_policy(
                 replicas[gi] = set(
                     objs[int(indptr[li]) : int(indptr[li + 1])].tolist()
                 )
-            r.release_arrays()
-        for arena in result_arenas:
-            arena.close()
         assert all(r is not None for r in replicas), "shard plan missed a server"
 
         unconstrained_d = cost.D(Allocation(model, comp_part, opt_part))
@@ -1379,6 +1093,7 @@ def run_sharded_policy(
                     offload_config or OffloadConfig(),
                     scatter=scatter,
                 )
+            scatter.publish_gauges()
             offload_outcome.round_bytes = list(scatter.rounds_bytes)
             phases.append("off-loading")
             report = evaluate_constraints(alloc)
@@ -1397,11 +1112,6 @@ def run_sharded_policy(
                 reg.merge_snapshot(r.snapshot)
         reg.gauge("shard.count", float(len(groups)))
         reg.gauge("policy.context_entries_full", float(ne_c + ne_o))
-        reg.gauge(
-            "shm.bytes_shared",
-            float(sum(a.nbytes for a in _PARENT_ARENAS.values())),
-        )
-        reg.gauge("shard.pickle_bytes_avoided", pickle_bytes_avoided)
         # Per-phase wall clock: the slowest shard bounds each fanned-out
         # phase; the reconcile-side phases time their own spans.
         for name in ("partition", "storage-restoration", "processing-restoration"):

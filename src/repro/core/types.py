@@ -493,8 +493,8 @@ class SystemModel:
         # Remote-stream columns, shape (n_servers, k-1): column 0 is the
         # repository connection (identical values to the server_repo_*
         # arrays), further columns are replica-mesh sites.  Always built
-        # so every consumer — shm shipping, ColumnarModel, server-subset
-        # slicing — handles k uniformly; the classic model is k = 2.
+        # so every consumer — ColumnarModel, server-subset slicing —
+        # handles k uniformly; the classic model is k = 2.
         if topology is None:
             self.stream_rates = self.server_repo_rate.reshape(s, 1).copy()
             self.stream_overheads = self.server_repo_overhead.reshape(s, 1).copy()
@@ -618,8 +618,7 @@ class SystemModel:
 #: The flat array attributes that fully determine a model's vectorised
 #: state (everything :meth:`SystemModel._build_arrays` derives from the
 #: specs).  :class:`ColumnarModel` reconstructs a model from exactly
-#: these plus the repository spec; the shared-memory shipping path in
-#: :mod:`repro.core.shm` / :mod:`repro.core.shard` packs exactly these.
+#: these plus the repository spec.
 MODEL_COLUMN_FIELDS: tuple[str, ...] = (
     "sizes",
     "html_sizes",
@@ -649,16 +648,11 @@ MODEL_COLUMN_FIELDS: tuple[str, ...] = (
 class ColumnarModel(SystemModel):
     """A :class:`SystemModel` built directly from its flat arrays.
 
-    Two producers need a model *without* paying the spec-tuple path:
-
-    * :func:`restrict_to_servers` — the shard-local submodels of
-      ``EvalContext.for_servers`` (vectorised slicing of the parent's
-      columns; building ``PageSpec`` tuples for a million-page model
-      just to re-flatten them would dominate the shard setup it exists
-      to remove);
-    * the shared-memory model shipping in :mod:`repro.core.shard` —
-      workers attach the parent's column arrays in place and wrap them
-      in a model view.
+    :func:`restrict_to_servers` needs a model *without* paying the
+    spec-tuple path: the shard-local submodels of
+    ``EvalContext.for_servers`` slice the parent's columns vectorised,
+    and building ``PageSpec`` tuples for a million-page model just to
+    re-flatten them would dominate the shard setup it exists to remove.
 
     The spec tuples (``pages``, ``servers``, ``objects``) and
     ``pages_by_server`` are materialised **lazily** from the arrays on
@@ -682,8 +676,7 @@ class ColumnarModel(SystemModel):
         """Wrap pre-built flat arrays (see :data:`MODEL_COLUMN_FIELDS`).
 
         The arrays are adopted by reference — callers hand over
-        ownership (or immutable/shared views, e.g. shared-memory
-        attachments).
+        ownership (or immutable views).
         """
         self = cls.__new__(cls)
         self.repository = repository

@@ -25,13 +25,16 @@ from repro.core.types import (
     PageSpec,
     RepositorySpec,
     ServerSpec,
+    StreamTopology,
     SystemModel,
 )
 from repro.workload.trace import RequestTrace
 
 __all__ = ["save_model", "load_model", "save_trace", "load_trace"]
 
-_MODEL_FORMAT = "repro-model-v1"
+_MODEL_FORMAT = "repro-model-v2"
+#: v1 documents predate the stream topology; they load as k = 2.
+_MODEL_FORMAT_V1 = "repro-model-v1"
 _TRACE_FORMAT = "repro-trace-v1"
 
 
@@ -48,8 +51,53 @@ def _dec_float(x: Any) -> float:
     return float(x)
 
 
+def _dec_topology(
+    doc: dict, path: str | pathlib.Path, servers: list[ServerSpec]
+) -> StreamTopology:
+    """The v2 ``stream_rates``/``stream_overheads`` pair as a topology.
+
+    Each field must be an ``(n_servers, k-1)`` matrix of numbers whose
+    column 0 is the servers' repository connection (``repo_rate`` /
+    ``repo_overhead``); a missing or malformed field raises
+    :class:`ValueError` naming it.
+    """
+    n_servers = len(servers)
+    mats = []
+    for name, repo_attr in (
+        ("stream_rates", "repo_rate"),
+        ("stream_overheads", "repo_overhead"),
+    ):
+        if name not in doc:
+            raise ValueError(f"{path}: model document lacks field {name!r}")
+        try:
+            mat = np.array(doc[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: field {name!r} must be a matrix of numbers ({exc})"
+            ) from None
+        if mat.ndim != 2 or mat.shape[0] != n_servers or mat.shape[1] < 1:
+            raise ValueError(
+                f"{path}: field {name!r} must be an (n_servers, k-1) matrix "
+                f"with n_servers={n_servers} and k >= 2, got shape {mat.shape}"
+            )
+        repo_col = np.array([getattr(sv, repo_attr) for sv in servers])
+        if not np.array_equal(mat[:, 0], repo_col):
+            raise ValueError(
+                f"{path}: field {name!r} column 0 must equal every "
+                f"server's {repo_attr} (the repository connection)"
+            )
+        mats.append(mat)
+    try:
+        return StreamTopology(rates=mats[0], overheads=mats[1])
+    except ValueError as exc:
+        raise ValueError(
+            f"{path}: fields 'stream_rates'/'stream_overheads': {exc}"
+        ) from None
+
+
 def save_model(model: SystemModel, path: str | pathlib.Path) -> None:
-    """Write ``model`` to ``path`` as versioned JSON."""
+    """Write ``model`` to ``path`` as versioned JSON (stream topology
+    included)."""
     doc = {
         "format": _MODEL_FORMAT,
         "repository": {
@@ -83,6 +131,8 @@ def save_model(model: SystemModel, path: str | pathlib.Path) -> None:
             }
             for p in model.pages
         ],
+        "stream_rates": model.stream_rates.tolist(),
+        "stream_overheads": model.stream_overheads.tolist(),
     }
     pathlib.Path(path).write_text(json.dumps(doc))
 
@@ -90,17 +140,22 @@ def save_model(model: SystemModel, path: str | pathlib.Path) -> None:
 def load_model(path: str | pathlib.Path) -> SystemModel:
     """Read a model written by :func:`save_model`.
 
+    A v2 document carries the stream topology; a v1 document (written
+    before k-stream meshes) loads as the classic k = 2 model.
+
     Raises
     ------
     ValueError
-        If the file is not a v1 model document (or fails the
-        :class:`SystemModel` constructors' validation).
+        If the file is not a v1/v2 model document, a topology field is
+        missing or malformed (the message names the field), or the
+        model fails the :class:`SystemModel` constructors' validation.
     """
     doc = json.loads(pathlib.Path(path).read_text())
-    if doc.get("format") != _MODEL_FORMAT:
+    fmt = doc.get("format")
+    if fmt not in (_MODEL_FORMAT, _MODEL_FORMAT_V1):
         raise ValueError(
             f"{path} is not a {_MODEL_FORMAT} document "
-            f"(found format={doc.get('format')!r})"
+            f"(found format={fmt!r})"
         )
     servers = [
         ServerSpec(
@@ -135,7 +190,10 @@ def load_model(path: str | pathlib.Path) -> SystemModel:
     repository = RepositorySpec(
         processing_capacity=_dec_float(doc["repository"]["processing_capacity"])
     )
-    return SystemModel(servers, repository, pages, objects)
+    topology = (
+        None if fmt == _MODEL_FORMAT_V1 else _dec_topology(doc, path, servers)
+    )
+    return SystemModel(servers, repository, pages, objects, topology=topology)
 
 
 def save_trace(trace: RequestTrace, path: str | pathlib.Path) -> None:

@@ -87,3 +87,31 @@ class TestMarking:
 
     def test_name(self):
         assert PopularityPolicy(marking="balanced").name == "popularity-balanced"
+
+
+class TestMeshStreams:
+    def test_balanced_installs_partition_streams_at_k3(self):
+        """At k=3 the balanced marking keeps PARTITION's remote stream
+        choices: every page's marks *and* streams equal a scalar
+        ``partition_page`` over the same stored set."""
+        from repro.core.partition import partition_page
+        from repro.workload.generator import generate_workload
+        from repro.workload.params import WorkloadParams
+
+        params = WorkloadParams.tiny().with_(n_streams=3, n_repositories=2)
+        model = generate_workload(params, seed=3)
+        budget = 0.3 * model.total_object_bytes() / model.n_servers
+        alloc = PopularityPolicy(storage_bytes=budget, marking="balanced").allocate(
+            model
+        )
+        indptr = model.comp_indptr
+        for j, page in enumerate(model.pages):
+            marks, streams, _, _ = partition_page(
+                model, j, allowed=alloc.replicas[page.server]
+            )
+            sl = slice(indptr[j], indptr[j + 1])
+            assert np.array_equal(alloc.comp_local[sl], marks)
+            assert np.array_equal(alloc.comp_stream[sl], streams)
+        # the mesh is actually used: some remote entry sits past stream 1
+        assert (alloc.comp_stream[~alloc.comp_local] > 1).any()
+        alloc.check_invariants()

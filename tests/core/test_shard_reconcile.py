@@ -11,26 +11,24 @@ sharded kernel must survive:
   its Eq. 10 capacity, another just below, in different groups),
 * invalid shard counts (``shards > n_servers``, non-positive) raising
   validated errors,
-* one **real subprocess** identity run, so the pickle → worker →
-  reconcile path is covered outside the inline pool,
+* **real subprocess** identity runs, so the pickle → worker →
+  reconcile path and the off-loading delta rounds (steady state and
+  forced resyncs) are covered outside the inline pool,
 * the **delta-round scatter** (worker-resident shard state, batched
-  absorptions, epoch/resync protocol, shm mark frontier) driven
-  deterministically — steady-state batching, forced resyncs, the
-  full-state baseline mode, and frontier lifecycle,
-* **fan-out failure** cleanup: a dying shard must not strand the
-  surviving shards' ``/dev/shm`` result segments.
+  absorptions, epoch/resync protocol) driven deterministically —
+  steady-state batching and forced resyncs,
+* **fan-out failure**: a dying shard's exception reaches the caller.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-import pathlib
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from repro.core import shard
 from repro.core.constraints import repository_load
 from repro.core.cost_model import CostModel
 from repro.core.offload import OffloadConfig, offload_repository
@@ -38,20 +36,15 @@ from repro.core.partition import partition_all
 from repro.core.policy import RepositoryReplicationPolicy
 from repro.core.shard import (
     InlineShardPool,
-    _gather_shard_results,
     _Lru,
-    _model_digest,
     _run_shard,
-    _shard_pipeline,
     _ShardedScatter,
     _ShardOptions,
-    default_pool,
     plan_shards,
     resolve_shards,
     run_sharded_policy,
     shutdown_shard_pool,
 )
-from repro.core.shm import ShmArena, shm_available
 from repro.core.types import (
     ObjectSpec,
     PageSpec,
@@ -273,45 +266,15 @@ class TestPlannerDeterminism:
 
 
 class TestWorkerModelLru:
-    def test_eviction_callback_fires_in_insertion_order(self):
-        evicted: list[tuple[str, int]] = []
-        lru = _Lru(2, lambda k, v: evicted.append((k, v)))
+    def test_lru_evicts_least_recently_used(self):
+        lru = _Lru(2)
         lru.put("a", 1)
         lru.put("b", 2)
         lru.get("a")  # refresh: "b" is now the LRU entry
         lru.put("c", 3)
-        assert evicted == [("b", 2)]
+        assert lru.get("b") is None
+        assert (lru.get("a"), lru.get("c")) == (1, 3)
         assert len(lru) == 2
-        lru.clear()
-        assert evicted == [("b", 2), ("a", 1), ("c", 3)]
-        assert len(lru) == 0
-
-    def test_worker_cache_evicts_shm_arena_cleanly(self):
-        """An evicted (model, arena) pair must close its arena mapping;
-        the parent-owned segment itself stays alive."""
-        from repro.core.shard import _evict_worker_model
-        from repro.core.shm import ShmArena
-
-        owner = ShmArena.create({"col": np.arange(5)})
-        try:
-            mapping = ShmArena.attach(owner.handle)
-            lru = _Lru(1, _evict_worker_model)
-            lru.put("one", (object(), mapping))
-            lru.put("two", (object(), None))  # evicts "one" → closes arena
-            assert mapping._closed
-            # the owner's segment is untouched by the worker-side close
-            np.testing.assert_array_equal(owner.get("col"), np.arange(5))
-        finally:
-            owner.destroy()
-
-    def test_model_digest_is_content_addressed(self):
-        a = generate_workload(WorkloadParams.tiny(), seed=3)
-        b = generate_workload(WorkloadParams.tiny(), seed=3)
-        c = generate_workload(WorkloadParams.tiny(), seed=4)
-        assert _model_digest(a) == _model_digest(b)
-        assert _model_digest(a) != _model_digest(c)
-        # cached on the attribute, not recomputed
-        assert a._repro_model_digest == _model_digest(a)
 
 
 def _offload_constrained_model():
@@ -331,12 +294,20 @@ def _offload_constrained_model():
     )
 
 
+def _force_resync_every(monkeypatch, every: int | None) -> None:
+    """Make ``run_sharded_policy`` build its scatter with ``resync_every``."""
+    monkeypatch.setattr(
+        shard,
+        "_ShardedScatter",
+        functools.partial(_ShardedScatter, resync_every=every),
+    )
+
+
 class TestRealProcessPool:
-    @pytest.mark.parametrize("shm", [True, False])
-    def test_subprocess_identity_small_scale(self, shm):
-        """One real fork round trip per transport: both the shm column
-        arena and the pickle fallback must reconcile to the batched
-        kernel's exact result."""
+    def test_subprocess_identity_small_scale(self):
+        """One real fork round trip over the pickle transport: the
+        fan-out and the reconcile must match the batched kernel's exact
+        result."""
         model = generate_workload(WorkloadParams.small(), seed=11)
         ref = partition_all(model)
         m2 = clone_with_capacities(
@@ -345,7 +316,7 @@ class TestRealProcessPool:
         )
         batched = RepositoryReplicationPolicy().run(m2)
         try:
-            sharded = run_sharded_policy(m2, shards=2, shm=shm)
+            sharded = run_sharded_policy(m2, shards=2)
         finally:
             shutdown_shard_pool()
         _assert_identical(sharded, batched)
@@ -359,28 +330,42 @@ class TestRealProcessPool:
         batched = RepositoryReplicationPolicy().run(m2)
         assert "off-loading" in batched.phases_run
         try:
-            sharded = run_sharded_policy(m2, shards=2, shm=True)
+            sharded = run_sharded_policy(m2, shards=2)
+        finally:
+            shutdown_shard_pool()
+        _assert_identical(sharded, batched)
+
+    def test_subprocess_resync_every_batch_identity(self, monkeypatch):
+        """``resync_every=1`` forces a full epoch resync on every batch,
+        so the recovery path (full state re-ship) crosses a process
+        boundary on every round and must stay bit-identical."""
+        _force_resync_every(monkeypatch, 1)
+        m2 = _offload_constrained_model()
+        batched = RepositoryReplicationPolicy().run(m2)
+        assert "off-loading" in batched.phases_run
+        try:
+            sharded = run_sharded_policy(m2, shards=2)
         finally:
             shutdown_shard_pool()
         _assert_identical(sharded, batched)
 
     def test_subprocess_delta_rounds_forced_resync_identity(self, monkeypatch):
-        """``REPRO_OFFLOAD_RESYNC_EVERY=2`` interleaves resident fast
-        paths with full epoch resyncs on a real pool — the recovery
-        path must be bit-identical, not just the steady state."""
-        monkeypatch.setenv("REPRO_OFFLOAD_RESYNC_EVERY", "2")
+        """``resync_every=2`` interleaves resident fast paths with full
+        epoch resyncs on a real pool — the recovery path must be
+        bit-identical, not just the steady state."""
+        _force_resync_every(monkeypatch, 2)
         m2 = _offload_constrained_model()
         batched = RepositoryReplicationPolicy().run(m2)
         assert "off-loading" in batched.phases_run
         try:
-            sharded = run_sharded_policy(m2, shards=2, shm=True)
+            sharded = run_sharded_policy(m2, shards=2)
         finally:
             shutdown_shard_pool()
         _assert_identical(sharded, batched)
 
 
 # ----------------------------------------------------------------------
-# delta-round scatter: batching, epochs, resyncs, frontier lifecycle
+# delta-round scatter: batching, epochs, resyncs
 # ----------------------------------------------------------------------
 def _tiny_offload_case(seed: int = 7):
     """A tiny model plus a repository capacity that forces off-loading."""
@@ -420,14 +405,11 @@ def _scatter_offload_arms(model, capacity, opts=None, **scatter_kwargs):
 
 
 class TestDeltaRoundScatter:
-    def test_delta_scatter_one_submission_per_shard_per_round(
-        self, monkeypatch
-    ):
+    def test_delta_scatter_one_submission_per_shard_per_round(self):
         """Steady state: each shard syncs exactly once (its first batch,
         lazily — no fan-out seeded residency here), then rides the
         resident fast path; submissions equal processed batches (no
         hidden two-phase resubmits)."""
-        monkeypatch.delenv("REPRO_OFFLOAD_RESYNC_EVERY", raising=False)
         model, capacity = _tiny_offload_case()
         groups = plan_shards(model, min(2, model.n_servers))
         scatter = _scatter_offload_arms(model, capacity, groups=groups)
@@ -447,130 +429,34 @@ class TestDeltaRoundScatter:
         for g, batches in enumerate(scatter._batches):
             assert scatter._resyncs[g] == batches
 
-    def test_full_sync_mode_scatter_identity(self):
-        """``sync_mode="full"`` is the pre-resident baseline the byte
-        accounting measures against — still bit-identical."""
-        model, capacity = _tiny_offload_case()
-        scatter = _scatter_offload_arms(model, capacity, sync_mode="full")
-        for g, batches in enumerate(scatter._batches):
-            assert scatter._resyncs[g] == batches
-
-    def test_invalid_sync_mode_rejected(self):
-        model, _ = _tiny_offload_case()
-        opts = _ShardOptions(
-            alpha1=2.0, alpha2=1.0, optional_policy="none", record=False
-        )
-        with pytest.raises(ValueError, match="sync_mode"):
-            _ShardedScatter(
-                InlineShardPool(), ("model", model), model, opts,
-                sync_mode="bogus",
-            )
-
-    def test_delta_scatter_frontier_lifecycle(self):
-        """shm mark frontier: syncs read marks from the parent-owned
-        segment instead of shipping them, and ``finish`` destroys the
-        segment on every exit path (no ``/dev/shm`` leak)."""
-        if not shm_available():
-            pytest.skip("no usable shared memory on this platform")
-        model, capacity = _tiny_offload_case()
-        opts = _ShardOptions(
-            alpha1=2.0, alpha2=1.0, optional_policy="none", record=False,
-            use_shm=True,
-        )
-        cost = CostModel(model)
-        serial_alloc = partition_all(model, optional_policy="none")
-        serial_out = offload_repository(
-            serial_alloc, cost, OffloadConfig(), capacity=capacity
-        )
-        par_alloc = partition_all(model, optional_policy="none")
-        scatter = _ShardedScatter(
-            InlineShardPool(), ("model", model), model, opts
-        )
-        scatter.begin(par_alloc)
-        assert scatter._frontier is not None
-        handle = dict(scatter._frontier.handle)
-        par_out = offload_repository(
-            par_alloc, cost, OffloadConfig(), capacity=capacity,
-            scatter=scatter,
-        )
-        assert serial_out == par_out
-        assert np.array_equal(serial_alloc.comp_local, par_alloc.comp_local)
-        assert np.array_equal(serial_alloc.opt_local, par_alloc.opt_local)
-        for i in range(model.n_servers):
-            assert serial_alloc.replicas[i] == par_alloc.replicas[i]
-        # every sync was a frontier read, not a mark ship
-        assert scatter._frontier_reads == sum(scatter._resyncs) > 0
-        # offload_repository's finally ran finish(): segment gone
-        assert scatter._frontier is None
-        with pytest.raises(FileNotFoundError):
-            ShmArena.attach(handle)
-
 
 # ----------------------------------------------------------------------
-# fan-out failure: no stranded /dev/shm segments
+# fan-out failure
 # ----------------------------------------------------------------------
 def _boom_run_shard(*_args, **_kwargs):
     raise RuntimeError("shard worker boom")
 
 
-class _PoisonedFanoutPool:
-    """Delegates to a real pool but fails one shard's fan-out task."""
+class _PoisonedFanoutPool(InlineShardPool):
+    """An inline pool that fails one shard's fan-out task."""
 
-    def __init__(self, inner, poison_idx: int):
-        self._inner = inner
+    def __init__(self, poison_idx: int):
         self._poison = poison_idx
-
-    def submit_to(self, idx, fn, /, *args, **kwargs):
-        if idx == self._poison and fn is _run_shard:
-            return self._inner.submit_to(idx, _boom_run_shard)
-        return self._inner.submit_to(idx, fn, *args, **kwargs)
+        self._seq = 0
 
     def submit(self, fn, /, *args, **kwargs):
-        return self._inner.submit(fn, *args, **kwargs)
+        idx, self._seq = self._seq, self._seq + 1
+        if idx == self._poison and fn is _run_shard:
+            return super().submit(_boom_run_shard)
+        return super().submit(fn, *args, **kwargs)
 
 
-class TestFanoutFailureCleanup:
-    def test_gather_failure_destroys_result_arenas(self):
-        """A failed shard must not strand the successful shards' shm
-        result segments: the gather adopts and destroys them before
-        re-raising the first failure."""
-        if not shm_available():
-            pytest.skip("no usable shared memory on this platform")
+class TestFanoutFailure:
+    def test_failed_shard_reraises(self):
+        """A shard that dies in the fan-out surfaces its exception from
+        ``run_sharded_policy`` instead of reconciling a partial plan."""
         model = generate_workload(WorkloadParams.tiny(), seed=3)
-        opts = _ShardOptions(
-            alpha1=2.0, alpha2=1.0, optional_policy="all", record=False,
-            use_shm=True,
-        )
-        groups = plan_shards(model, 2)
-        result, _ctx, _cost, _alloc = _shard_pipeline(model, groups[0], opts)
-        result.ship_shm()
-        handle = dict(result.shm_handle)
-        ok: Future = Future()
-        ok.set_result(result)
-        bad: Future = Future()
-        bad.set_exception(RuntimeError("shard worker boom"))
         with pytest.raises(RuntimeError, match="boom"):
-            _gather_shard_results([ok, bad])
-        with pytest.raises(FileNotFoundError):
-            ShmArena.attach(handle)
-        # views were released before the arena closed (no dangling refs)
-        assert result.comp_final_idx is None
-        assert result.replica_objects is None
-
-    def test_fanout_failure_leaves_no_shm_segments(self):
-        """End to end: kill one shard of a real-pool run mid-fan-out and
-        diff ``/dev/shm`` — after the failure propagates and the pool
-        shuts down, no segment created by the run may survive."""
-        shm_dir = pathlib.Path("/dev/shm")
-        if not (shm_available() and shm_dir.is_dir()):
-            pytest.skip("needs shared memory backed by /dev/shm")
-        m2 = _offload_constrained_model()
-        before = set(os.listdir(shm_dir))
-        pool = _PoisonedFanoutPool(default_pool(2), poison_idx=1)
-        try:
-            with pytest.raises(RuntimeError, match="boom"):
-                run_sharded_policy(m2, shards=2, pool=pool, shm=True)
-        finally:
-            shutdown_shard_pool()
-        leaked = set(os.listdir(shm_dir)) - before
-        assert leaked == set(), f"stranded shm segments: {sorted(leaked)}"
+            run_sharded_policy(
+                model, shards=2, pool=_PoisonedFanoutPool(poison_idx=1)
+            )

@@ -33,7 +33,7 @@ leave the allocation and outcome bit-identical to the serial default).
 A third property pins the **delta-round wire protocol** itself: random
 off-loading sequences replayed through worker-resident delta shipping —
 with resyncs randomly forced every 1-3 batches — and through the
-full-state-per-batch baseline (``sync_mode="full"``) must land on the
+full-state-per-batch baseline (``resync_every=1``) must land on the
 same marks, replica sets, achieved loads and outcome as the serial
 reference, for any shard plan the planner can produce.
 """
@@ -295,7 +295,7 @@ def test_delta_rounds_identical_to_full_state_and_serial(model, rfrac, data):
     )
     arms = {
         "delta": {"groups": groups, "resync_every": resync_every},
-        "full": {"groups": groups, "sync_mode": "full"},
+        "full": {"groups": groups, "resync_every": 1},
     }
     for label, kwargs in arms.items():
         alloc = partition_all(model, optional_policy="none")

@@ -1,11 +1,15 @@
 """Property: model transforms keep the stream topology bit for bit."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dynamic.drift import replace_frequencies, rotate_hot_set
 from repro.experiments.scaling import clone_with_capacities
+from repro.io import load_model, save_model
 from tests.properties.strategies import mesh_models
 
 
@@ -37,3 +41,15 @@ def test_transforms_keep_stream_topology(model, scale, seed):
     assert np.array_equal(drifted.frequencies, freqs)
 
     _same_topology(model, rotate_hot_set(model, fraction=1.0, seed=seed))
+
+
+@given(mesh_models(min_streams=2, max_streams=4))
+@settings(max_examples=40, deadline=None)
+def test_save_load_keeps_stream_topology(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+    _same_topology(model, back)
+    assert np.array_equal(back.sizes, model.sizes)
+    assert np.array_equal(back.comp_objects, model.comp_objects)

@@ -1,5 +1,7 @@
 """Tests for repro.io — model/trace persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,75 @@ class TestModelRoundTrip:
         save_model(micro_model, path)
         back = load_model(path)
         assert back.servers[0].name == "s0"
+
+
+def _mesh_model():
+    params = WorkloadParams.tiny().with_(n_streams=3, n_repositories=2)
+    return generate_workload(params, seed=3)
+
+
+class TestModelFormatV2:
+    def test_v1_document_loads_as_k2(self, micro_model, tmp_path):
+        path = tmp_path / "v1.json"
+        save_model(micro_model, path)
+        doc = json.loads(path.read_text())
+        doc["format"] = "repro-model-v1"
+        del doc["stream_rates"], doc["stream_overheads"]
+        path.write_text(json.dumps(doc))
+        back = load_model(path)
+        assert back.n_streams == 2
+        assert np.array_equal(back.stream_rates, micro_model.stream_rates)
+        assert np.array_equal(
+            back.stream_overheads, micro_model.stream_overheads
+        )
+
+    def test_k3_round_trip(self, tmp_path):
+        model = _mesh_model()
+        path = tmp_path / "k3.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.n_streams == 3
+        assert np.array_equal(back.stream_rates, model.stream_rates)
+        assert np.array_equal(back.stream_overheads, model.stream_overheads)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("stream_rates", None),
+            ("stream_overheads", "fast"),
+            ("stream_rates", [[1.0]]),
+            ("stream_overheads", [[0.0, 1.0], [0.0]]),
+        ],
+    )
+    def test_malformed_topology_names_field(self, tmp_path, field, value):
+        path = tmp_path / "bad.json"
+        save_model(_mesh_model(), path)
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=field):
+            load_model(path)
+
+    def test_repository_column_mismatch_names_field(self, tmp_path):
+        path = tmp_path / "bad.json"
+        save_model(_mesh_model(), path)
+        doc = json.loads(path.read_text())
+        doc["stream_rates"][0][0] *= 2.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="stream_rates.*repo_rate"):
+            load_model(path)
+
+    def test_negative_overhead_names_field(self, tmp_path):
+        path = tmp_path / "bad.json"
+        save_model(_mesh_model(), path)
+        doc = json.loads(path.read_text())
+        doc["stream_overheads"][0][1] = -1.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="stream_overheads"):
+            load_model(path)
 
 
 class TestTraceRoundTrip:
