@@ -100,7 +100,7 @@ def test_bench_incremental_vs_full(bench_config, save_timings):
     base = generate_workload(bench_config.params, seed=bench_config.base_seed)
     caps = storage_capacities_for_fraction(base, partition_all(base), 0.6)
     truth = clone_with_capacities(base, storage=caps)
-    policy = RepositoryReplicationPolicy(kernel=bench_config.kernel)
+    policy = RepositoryReplicationPolicy(shards=bench_config.shards)
     replanner = IncrementalReplanner(
         policy, truth, IncrementalConfig(audit_every=0)
     )
@@ -141,7 +141,7 @@ def test_bench_incremental_vs_full(bench_config, save_timings):
         "extension_dynamic",
         {
             "seed": bench_config.base_seed,
-            "kernel": bench_config.kernel,
+            "shards": bench_config.shards,
             "n_pages": truth.n_pages,
             "n_servers": truth.n_servers,
             "drift": "rotate_hot_set(fraction=0.5, servers=[1 of N])",

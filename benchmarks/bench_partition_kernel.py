@@ -1,7 +1,8 @@
 """Kernel bench — batched vs scalar PARTITION throughput.
 
-Times :func:`repro.core.partition.partition_all` under both kernels on
-the seeded Table 1 workload and a 10× variant (pages_per_server scaled
+Times :func:`repro.core.partition.partition_all` and its scalar oracle
+:func:`repro.core.reference.partition_all_reference` on the seeded
+Table 1 workload and a 10× variant (pages_per_server scaled
 tenfold), reporting pages/second and the speedup.  The acceptance floor
 for the batched kernel is **≥5× scalar throughput on the 10× workload**;
 the differential property suite
@@ -22,6 +23,7 @@ import time
 import pytest
 
 from repro.core.partition import partition_all
+from repro.core.reference import partition_all_reference
 from repro.util.tables import format_table
 from repro.workload.generator import generate_workload
 from repro.workload.params import WorkloadParams
@@ -61,11 +63,11 @@ def kernel_results(save_artifact, save_timings):
             seed=SEED,
         )
         model.fast_comp  # warm the scalar path's list cache before timing
-        scalar_alloc = partition_all(model, kernel="scalar")
-        batched_alloc = partition_all(model, kernel="batched")
+        scalar_alloc = partition_all_reference(model)
+        batched_alloc = partition_all(model)
         assert scalar_alloc == batched_alloc, "kernels diverged"
-        t_scalar = _best_time(lambda: partition_all(model, kernel="scalar"))
-        t_batched = _best_time(lambda: partition_all(model, kernel="batched"))
+        t_scalar = _best_time(lambda: partition_all_reference(model))
+        t_batched = _best_time(lambda: partition_all(model))
         results[name] = {
             "pages": model.n_pages,
             "streams": model.n_streams,
@@ -118,4 +120,4 @@ def test_bench_batched_kernel_timing(benchmark):
         ),
         seed=SEED,
     )
-    benchmark(partition_all, model, kernel="batched")
+    benchmark(partition_all, model)

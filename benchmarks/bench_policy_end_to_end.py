@@ -22,7 +22,7 @@ scale** (``REPRO_BENCH_SCALE=paper``; measured ≈7× there); smaller
 scales assert a looser sanity floor because a sub-second run's ratio is
 dominated by fixed costs.
 
-A third arm times the **sharded** process-parallel kernel
+A third arm times a **sharded** process-parallel run
 (:mod:`repro.core.shard`): the same constrained run split into
 ``SHARD_COUNT`` per-server shards on a persistent worker pool, with the
 reconciled result asserted **bit-identical** to the shared arm's
@@ -162,7 +162,6 @@ def e2e_results(bench_config, save_timings):
     sharded_policy = RepositoryReplicationPolicy(
         alpha1=params.alpha1,
         alpha2=params.alpha2,
-        kernel="sharded",
         shards=shards,
         pool=default_pool(workers),
     )

@@ -1,7 +1,8 @@
 """Kernel bench — batched vs scalar greedy restoration.
 
 Times the two Section 4.2 restoration loops (storage and processing)
-under both kernels on seeded paper-shaped workloads and asserts the
+on the batched engine and on their scalar oracles
+(:mod:`repro.core.reference`) over seeded paper-shaped workloads and asserts the
 acceptance floor for :mod:`repro.core.fast_restoration`: **the batched
 restoration path is ≥5× scalar on the dense paper-scale workload**, with
 bit-identical decision sequences verified in the same run (final
@@ -46,6 +47,10 @@ import pytest
 from repro.core.constraints import html_request_load, local_processing_load
 from repro.core.cost_model import CostModel
 from repro.core.partition import partition_all
+from repro.core.reference import (
+    restore_processing_reference,
+    restore_storage_reference,
+)
 from repro.core.restoration import (
     restore_processing_capacity,
     restore_storage_capacity,
@@ -88,11 +93,14 @@ def _scenarios(model: SystemModel) -> dict:
     return {
         "storage": (
             _with_capacities(model, storage=caps),
-            lambda a, c, k: restore_storage_capacity(a, c, kernel=k),
+            {"scalar": restore_storage_reference, "batched": restore_storage_capacity},
         ),
         "processing": (
             _with_capacities(model, processing=pcaps),
-            lambda a, c, k: restore_processing_capacity(a, c, kernel=k),
+            {
+                "scalar": restore_processing_reference,
+                "batched": restore_processing_capacity,
+            },
         ),
     }
 
@@ -117,7 +125,7 @@ def kernel_results(save_artifact, save_timings):
         )
         results[wname] = {"phases": {}, "streams": model.n_streams}
         totals = {"scalar": 0.0, "batched": 0.0}
-        for phase, (m2, fn) in _scenarios(model).items():
+        for phase, (m2, arms) in _scenarios(model).items():
             cost = CostModel(m2)
             best: dict[str, float] = {}
             first: dict[str, tuple] = {}
@@ -126,7 +134,7 @@ def kernel_results(save_artifact, save_timings):
                 for rep in range(REPEATS):
                     alloc = partition_all(m2)
                     t0 = time.perf_counter()
-                    stats = fn(alloc, cost, kern)
+                    stats = arms[kern](alloc, cost)
                     t_best = min(t_best, time.perf_counter() - t0)
                     if rep == 0:
                         first[kern] = (alloc, stats)
@@ -213,6 +221,6 @@ def test_bench_batched_kernel_timing(benchmark):
 
     def run():
         alloc = partition_all(m2)
-        restore_storage_capacity(alloc, cost, kernel="batched")
+        restore_storage_capacity(alloc, cost)
 
     benchmark(run)

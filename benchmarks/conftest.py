@@ -12,7 +12,7 @@ The whole suite runs with the :mod:`repro.obs` observability layer
 enabled: alongside each ``.txt`` artifact a structured **run manifest**
 (``benchmarks/out/<scale>/manifests/<name>.json``) records per-phase
 wall-clock spans, restoration/simulation counters, and provenance
-(seed, scale, kernel, git SHA), so the performance trajectory stays
+(seed, scale, shards, git SHA), so the performance trajectory stays
 diffable across PRs.
 
 Scale knobs (environment; integer values are validated — non-positive
@@ -88,7 +88,7 @@ def save_artifact(bench_config, bench_metrics):
                 "scale": scale,
                 "runs": bench_config.n_runs,
                 "requests_per_server": bench_config.params.requests_per_server,
-                "kernel": bench_config.kernel,
+                "shards": bench_config.shards,
                 "seed": bench_config.base_seed,
                 "jobs": bench_config.jobs,
             },

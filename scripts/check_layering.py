@@ -9,7 +9,7 @@ EvalContext refactor honest:
 
 * ``repro.core`` must never import the layers above it —
   ``experiments``, ``simulation``, ``baselines``, ``dynamic``,
-  ``analysis`` — so the kernels and the evaluation context stay usable
+  ``analysis`` — so the engines and the evaluation context stay usable
   from any orchestrator (and from the executor's worker processes)
   without dragging the experiment stack in;
 * ``repro.obs`` imports nothing above ``util`` — observability must be
@@ -20,7 +20,7 @@ contracts with their rationale: ``core/shard.py`` fans work out to
 processes but must receive its pool **by injection** (the ``ShardPool``
 protocol) — importing ``repro.experiments`` (e.g. the executor's
 persistent pool) from there would invert the layering that lets the
-sharded kernel run inside executor workers in the first place.
+sharded policy run inside executor workers in the first place.
 
 The check is purely static (``ast`` parse, no imports executed), walks
 every module including function-local imports, and prints each
@@ -32,7 +32,12 @@ with an integer literal — the paper's two-stream model is the general
 path with one remote stream, not a second copy of it.  The only
 exception is an ``if <...>.n_streams > 2:`` guard whose body raises
 ``NotImplementedError`` (the k=2-only OFF_LOADING negotiation and
-sharded kernel).
+sharded policy run).
+
+The scalar oracles stay oracles: no module under ``src/repro`` other
+than ``core/reference.py`` itself may import ``repro.core.reference``
+— only tests and ``benchmarks/`` call it, so the program runs one
+engine.
 
 Usage::
 
@@ -85,7 +90,7 @@ MODULE_FORBIDDEN: dict[str, tuple[frozenset[str], str]] = {
         frozenset(
             {"experiments", "analysis", "cli", "network", "simulation"}
         ),
-        "the sharded kernel must take its worker pool by injection "
+        "sharded runs must take their worker pool by injection "
         "(ShardPool protocol) — pass experiments.executor."
         "persistent_pool(n) in from above, never import it here — and "
         "its delta-round wire helpers (_absorb_shard_batch, "
@@ -118,7 +123,7 @@ MODULE_FORBIDDEN: dict[str, tuple[frozenset[str], str]] = {
         "the frequency-clone adoption hook (adopt_frequency_context) is "
         "called *from* repro.dynamic.drift — the dependency must point "
         "down only, or the incremental re-planner would drag the "
-        "dynamic/experiment stack into every kernel import",
+        "dynamic/experiment stack into every engine import",
     ),
 }
 
@@ -195,6 +200,36 @@ def stream_fork_lines(source: str, filename: str = "<source>") -> list[int]:
     return sorted(lines)
 
 
+#: the scalar-oracle module, importable only from outside ``src/repro``
+ORACLE_MODULE = "repro.core.reference"
+ORACLE_FILE = "core/reference.py"
+
+
+def oracle_import_lines(
+    source: str, package: str = "repro", filename: str = "<source>"
+) -> list[int]:
+    """Line numbers importing :data:`ORACLE_MODULE`, absolutely or
+    relative to ``package`` (the importing module's package)."""
+    tree = ast.parse(source, filename=filename)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                parts = package.split(".")[: len(package.split(".")) - node.level + 1]
+                module = ".".join(parts + ([module] if module else []))
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(
+            n == ORACLE_MODULE or n.startswith(ORACLE_MODULE + ".") for n in names
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def _layer_of(path: pathlib.Path) -> str:
     """The top-level subpackage (or module stem) a file belongs to."""
     rel = path.relative_to(PACKAGE_ROOT)
@@ -245,6 +280,16 @@ def check() -> list[str]:
                 violations.append(
                     f"{rel}:{lineno}: repro.{layer} imports repro.{target}"
                 )
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        if path.relative_to(PACKAGE_ROOT).as_posix() == ORACLE_FILE:
+            continue
+        rel = path.relative_to(REPO_ROOT)
+        package = ".".join(("repro",) + path.relative_to(PACKAGE_ROOT).parts[:-1])
+        for lineno in oracle_import_lines(path.read_text(), package, str(path)):
+            violations.append(
+                f"{rel}:{lineno}: imports {ORACLE_MODULE} (the scalar "
+                "oracles are for tests and benchmarks only)"
+            )
     for path in sorted((PACKAGE_ROOT / "core").rglob("*.py")):
         rel = path.relative_to(REPO_ROOT)
         for lineno in stream_fork_lines(path.read_text(), str(path)):
@@ -267,7 +312,8 @@ def main() -> int:
     m = len(MODULE_FORBIDDEN)
     print(
         f"layering check: OK ({n} constrained layers, "
-        f"{m} module rules, one k-stream path, no violations)"
+        f"{m} module rules, one k-stream path, oracles test-only, "
+        "no violations)"
     )
     return 0
 

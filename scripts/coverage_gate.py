@@ -22,9 +22,9 @@ executor test file once more with ``REPRO_JOBS=2`` at tiny scale (and
 ``-p no:cacheprovider``, so two concurrent pytest processes can never
 race on ``.pytest_cache``), proving the multi-process path works in the
 gate environment and not just on developer machines — followed by a
-**sharded-kernel smoke**: a tiny-scale CLI ``analyze`` run with
-``REPRO_KERNEL=sharded REPRO_SHARDS=2``, exercising the fork → pickle →
-reconcile path end to end — a **delta-rounds smoke** plus a
+**sharded smoke**: a tiny-scale CLI ``analyze`` run with
+``REPRO_SHARDS=2`` (the one sharding switch), exercising the fork →
+pickle → reconcile path end to end — a **delta-rounds smoke** plus a
 **forced-resync smoke**: the off-loading scatter identity tests, then
 the real-process identity test with a full resync forced on every
 batch (``resync_every=1``), covering the worker-resident delta protocol
@@ -84,7 +84,7 @@ def main(argv: list[str]) -> int:
     else:
         # --cov-fail-under is left to [tool.coverage.report] fail_under.
         # repro.obs, the experiment executor/cache modules, and the
-        # batched kernels are named explicitly so the observability,
+        # batched engines are named explicitly so the observability,
         # parallelism, and performance layers stay in the measured set
         # even if the source tree is ever split.
         cmd = [
@@ -140,9 +140,9 @@ def main(argv: list[str]) -> int:
     if code != 0:
         return code
 
-    # Sharded-kernel smoke: one end-to-end CLI run with the process-
-    # parallel policy kernel forced on via the environment, proving the
-    # fork → pickle → reconcile path works in the gate environment.
+    # Sharded smoke: one end-to-end CLI run with per-server shards on a
+    # process pool forced on via the environment, proving the fork →
+    # pickle → reconcile path works in the gate environment.
     shard_smoke = [
         sys.executable,
         "-m",
@@ -152,8 +152,8 @@ def main(argv: list[str]) -> int:
         "analyze",
     ]
     shard_env = dict(env)
-    shard_env.update(REPRO_KERNEL="sharded", REPRO_SHARDS="2")
-    print("sharded smoke:", " ".join(shard_smoke), "(REPRO_KERNEL=sharded)")
+    shard_env.update(REPRO_SHARDS="2")
+    print("sharded smoke:", " ".join(shard_smoke), "(REPRO_SHARDS=2)")
     code = subprocess.call(shard_smoke, cwd=REPO_ROOT, env=shard_env)
     if code != 0:
         return code

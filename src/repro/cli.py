@@ -13,25 +13,25 @@ All commands print ASCII artifacts to stdout.  ``--scale`` and
 ``--runs`` control workload size and averaging (defaults match the
 benchmark suite's quick settings; ``--scale paper`` is Table 1), and
 ``--jobs`` fans the sweep work units out over worker processes
-(default: ``$REPRO_JOBS`` or serial; the results are bit-identical
-either way).
+(default: ``$REPRO_JOBS`` or serial), and ``--shards N`` splits every
+policy solve into ``N`` per-server shards on a process pool (default:
+``$REPRO_SHARDS`` or in one process); the results are bit-identical
+either way.
 
 ``--metrics-out PATH`` (or the ``REPRO_METRICS`` environment variable)
 enables the :mod:`repro.obs` observability layer for the command and
 writes a JSON run manifest — per-phase wall-clock spans, restoration and
-simulation counters, seed/scale/kernel/git-SHA provenance — to ``PATH``
+simulation counters, seed/scale/shards/git-SHA provenance — to ``PATH``
 (a ``.json`` file, or a directory receiving a timestamped file).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
 from repro import obs
-from repro.core.partition import resolve_kernel
 from repro.core.shard import resolve_shards
 from repro.core.types import resolve_streams
 from repro.experiments.executor import resolve_jobs
@@ -74,20 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=2000, help="root seed")
     parser.add_argument(
-        "--kernel",
-        choices=("batched", "scalar", "sharded"),
-        default=os.environ.get("REPRO_KERNEL", "batched").lower(),
-        help="policy kernel (default: $REPRO_KERNEL or 'batched'; all "
-        "choices produce bit-identical allocations; 'sharded' fans "
-        "per-server shards over worker processes)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=None,
         metavar="N",
-        help="server shards for --kernel sharded (default: $REPRO_SHARDS "
-        "if set, else min(servers, cores); results are bit-identical)",
+        help="run every policy solve on N per-server shards over worker "
+        "processes (default: $REPRO_SHARDS if set, else in one process; "
+        "results are bit-identical)",
     )
     parser.add_argument(
         "--jobs",
@@ -168,7 +161,7 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         params=params,
         n_runs=args.runs,
         base_seed=args.seed,
-        kernel=args.kernel,
+        shards=args.shards,
         jobs=args.jobs,
     )
 
@@ -263,9 +256,7 @@ def _cmd_demo(args: argparse.Namespace) -> str:
         params = params.with_(requests_per_server=args.requests)
     params = _apply_streams(params, args)
     model = generate_workload(params, seed=args.seed)
-    result = RepositoryReplicationPolicy(
-        kernel=args.kernel, shards=args.shards
-    ).run(model)
+    result = RepositoryReplicationPolicy(shards=args.shards).run(model)
     trace = generate_trace(model, params, seed=args.seed + 1)
     sims = {
         "proposed": simulate_allocation(result.allocation, trace, seed=2),
@@ -299,10 +290,8 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
 
     params = _apply_streams(_SCALES[args.scale](), args)
     model = generate_workload(params, seed=args.seed)
-    result = RepositoryReplicationPolicy(
-        kernel=args.kernel, shards=args.shards
-    ).run(model)
-    cost = RepositoryReplicationPolicy(kernel=args.kernel).cost_model(model)
+    result = RepositoryReplicationPolicy(shards=args.shards).run(model)
+    cost = RepositoryReplicationPolicy().cost_model(model)
     report = describe_allocation(result.allocation, cost)
     return f"{result.summary()}\n\n{report.render()}"
 
@@ -350,18 +339,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # argparse only validates explicit values, not the env default
-        args.kernel = resolve_kernel(args.kernel)
-    except ValueError as exc:
-        parser.error(f"--kernel/$REPRO_KERNEL: {exc}")
-    try:
         # explicit --jobs, else $REPRO_JOBS (validated), else 1 = serial
         args.jobs = resolve_jobs(args.jobs)
     except ValueError as exc:
         parser.error(f"--jobs/$REPRO_JOBS: {exc}")
     try:
-        # explicit --shards, else $REPRO_SHARDS (validated), else auto
-        # at run time (the model's server count is not known here)
+        # explicit --shards, else $REPRO_SHARDS (validated), else None
+        # = in one process
         args.shards = resolve_shards(args.shards)
     except ValueError as exc:
         parser.error(f"--shards/$REPRO_SHARDS: {exc}")
@@ -370,10 +354,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.streams = resolve_streams(args.streams)
     except ValueError as exc:
         parser.error(f"--streams/$REPRO_STREAMS: {exc}")
-    if args.streams > 2 and args.kernel == "sharded":
+    if args.streams > 2 and args.shards is not None:
         parser.error(
-            "--kernel sharded supports the k=2 topology only; use "
-            "--kernel batched or scalar with --streams > 2"
+            "--shards: sharded runs support the k=2 topology only; run "
+            "--streams > 2 without --shards"
         )
     metrics_out = args.metrics_out or obs.env_metrics_path()
     if metrics_out:
@@ -383,7 +367,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "scale": args.scale,
             "seed": args.seed,
             "runs": args.runs,
-            "kernel": args.kernel,
             "jobs": args.jobs,
             "shards": args.shards,
         }

@@ -10,14 +10,13 @@ scorer's per-server gather, ad-hoc ``ReverseIndex`` threading …), once
 per phase or worse.
 
 :class:`EvalContext` is the consolidation: an immutable struct-of-arrays
-built **once per** ``(SystemModel, kernel)`` and cached on the model
-(mirroring ``ReverseIndex.for_model``).  The columns are plain NumPy
-arrays shared by reference between the two kernel variants, so asking
-for the ``"scalar"`` context after the ``"batched"`` one costs nothing.
+built **once per** :class:`SystemModel` and cached on the model
+(mirroring ``ReverseIndex.for_model``); the batched engines and the
+scalar oracles of :mod:`repro.core.reference` read the same instance.
 All expressions here are copied *verbatim* from the consumers they
 replace — the arrays are bit-identical to what each consumer used to
 compute privately, which is what keeps the golden regressions and the
-differential kernel oracles unchanged.
+differential oracle suites unchanged.
 
 :class:`IncrementalObjective` layers delta evaluation of the composite
 objective ``D = α₁·D₁ + α₂·D₂`` on top of the context: bulk mark flips
@@ -32,9 +31,10 @@ argument lives in DESIGN.md Appendix E).
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator
 
 import numpy as np
 
@@ -44,66 +44,11 @@ __all__ = [
     "EvalContext",
     "IncrementalObjective",
     "ScalarViews",
-    "Kernel",
-    "resolve_kernel",
-    "engine_kernel",
     "rebuild_contexts",
     "clear_derived_state",
     "is_frequency_clone",
     "adopt_frequency_context",
 ]
-
-Kernel = Literal["batched", "scalar", "sharded"]
-
-_KERNELS = ("batched", "scalar", "sharded")
-
-#: Kernels that name an actual evaluation engine.  ``"sharded"`` is a
-#: *dispatch* kernel: it fans servers out over worker processes and runs
-#: the batched engine inside each shard (see :mod:`repro.core.shard`).
-_ENGINE_KERNELS = ("batched", "scalar")
-
-
-def resolve_kernel(value: str | None, default: Kernel = "batched") -> Kernel:
-    """Validate a kernel name from CLI / env / API callers.
-
-    The single source of truth for kernel validation — the CLI
-    ``--kernel`` flag, the ``REPRO_KERNEL`` environment override, and the
-    restoration/partition entry points all funnel through here, so the
-    accepted values and the error text cannot diverge.
-
-    Parameters
-    ----------
-    value:
-        Raw kernel name; surrounding whitespace and case are ignored.
-        ``None`` or ``""`` selects ``default``.
-    default:
-        Kernel returned for unset values.
-
-    Raises
-    ------
-    ValueError
-        If ``value`` names none of ``"batched"``, ``"scalar"``,
-        ``"sharded"``.
-    """
-    if value is None or value == "":
-        return default
-    kernel = str(value).strip().lower()
-    if kernel not in _KERNELS:
-        raise ValueError(
-            f"kernel must be one of {'|'.join(_KERNELS)}, got {value!r}"
-        )
-    return kernel  # type: ignore[return-value]
-
-
-def engine_kernel(kernel: Kernel) -> Kernel:
-    """The evaluation engine behind a (validated) kernel name.
-
-    ``"sharded"`` is process-level orchestration, not a third set of
-    numerics: inside every shard (and for any phase a caller runs
-    directly with ``kernel="sharded"``) the batched engine does the
-    work, so all three names produce bit-identical allocations.
-    """
-    return "batched" if kernel == "sharded" else kernel
 
 
 @dataclass(frozen=True)
@@ -126,8 +71,8 @@ class ScalarViews:
 
 
 _CACHE_ATTR = "_repro_eval_context_cache"
-#: Per-model cache of server-subset contexts, keyed by
-#: ``(server-id tuple, engine kernel)`` (see ``EvalContext.for_servers``).
+#: Per-model cache of server-subset contexts, keyed by the server-id
+#: tuple (see ``EvalContext.for_servers``).
 _SUBSET_CACHE_ATTR = "_repro_subset_context_cache"
 
 #: Derived-state cache attributes attached to SystemModel instances.
@@ -167,21 +112,6 @@ def clear_derived_state(model: SystemModel) -> None:
     for attr in _MODEL_CACHE_ATTRS:
         if hasattr(model, attr):
             delattr(model, attr)
-
-
-#: Shared-slot names that depend on the page frequencies.  A
-#: frequency-only model clone (see :func:`adopt_frequency_context`)
-#: recomputes exactly these; everything else in ``_SHARED_SLOTS`` is
-#: structural and transfers by reference.
-_FREQUENCY_SLOTS = frozenset(
-    {
-        "frequencies",
-        "comp_freq",
-        "opt_freq_weight",
-        "html_request_load",
-        "scalars",
-    }
-)
 
 
 def is_frequency_clone(base: SystemModel, model: SystemModel) -> bool:
@@ -264,67 +194,17 @@ def adopt_frequency_context(base: SystemModel, model: SystemModel) -> bool:
         rev.opt_entries = src_rev.opt_entries
         setattr(model, "_repro_reverse_index_cache", rev)
 
-    src_cache: dict[str, EvalContext] | None = getattr(base, _CACHE_ATTR, None)
-    if not src_cache or not _CACHE_ENABLED[0]:
+    src_ctx: EvalContext | None = getattr(base, _CACHE_ATTR, None)
+    if src_ctx is None or not _CACHE_ENABLED[0]:
         return False
-    if getattr(model, _CACHE_ATTR, None):
-        return False  # model already has its own contexts; keep them
-    kern, src_ctx = next(iter(src_cache.items()))
-    ctx = EvalContext(model, kern, _share=src_ctx)
+    if getattr(model, _CACHE_ATTR, None) is not None:
+        return False  # model already has its own context; keep it
+    # a shallow copy shares every structural column by reference
+    ctx = copy.copy(src_ctx)
+    ctx.model = model
     ctx._refresh_frequency_columns()
-    setattr(model, _CACHE_ATTR, {kern: ctx})
+    setattr(model, _CACHE_ATTR, ctx)
     return True
-
-
-#: Attribute names copied by reference between kernel-sibling contexts.
-_SHARED_SLOTS = (
-    "n_pages",
-    "n_servers",
-    "n_objects",
-    "page_server",
-    "html_sizes",
-    "frequencies",
-    "page_spb_local",
-    "page_spb_repo",
-    "page_ovhd_local",
-    "page_ovhd_repo",
-    "comp_pages",
-    "comp_objects",
-    "comp_server",
-    "comp_sizes",
-    "comp_freq",
-    "opt_pages",
-    "opt_objects",
-    "opt_server",
-    "opt_sizes",
-    "opt_probs",
-    "opt_time_local",
-    "opt_time_repo",
-    "opt_freq_weight",
-    "n_streams",
-    "page_spb_streams",
-    "page_ovhd_streams",
-    "opt_time_streams",
-    "opt_time_remote",
-    "opt_best_stream",
-    "html_bytes_by_server",
-    "html_request_load",
-    "scalars",
-    "n_pairs",
-    "pair_server",
-    "pair_object",
-    "comp_pair",
-    "opt_pair",
-    "pair_indptr",
-    "_comp_grouped",
-    "_comp_srv_indptr",
-    "_comp_starts",
-    "_comp_counts",
-    "_opt_grouped",
-    "_opt_srv_indptr",
-    "_opt_starts",
-    "_opt_counts",
-)
 
 
 class EvalContext:
@@ -364,19 +244,9 @@ class EvalContext:
     global_comp_entries: np.ndarray | None = None
     global_opt_entries: np.ndarray | None = None
 
-    def __init__(
-        self,
-        model: SystemModel,
-        kernel: Kernel = "batched",
-        _share: "EvalContext | None" = None,
-    ):
+    def __init__(self, model: SystemModel):
         self.model = model
-        self.kernel = resolve_kernel(kernel)
-        if _share is not None:
-            for name in _SHARED_SLOTS:
-                setattr(self, name, getattr(_share, name))
-        else:
-            self._build()
+        self._build()
 
     # ------------------------------------------------------------------
     # construction
@@ -526,8 +396,8 @@ class EvalContext:
         """Recompute the frequency-derived columns from ``self.model``.
 
         Called on a context whose structural columns were shared from a
-        frequency-only sibling (see :func:`adopt_frequency_context`).
-        Exactly the ``_FREQUENCY_SLOTS`` are rebuilt — the expressions
+        frequency-only clone (see :func:`adopt_frequency_context`).
+        Exactly the frequency-derived columns are rebuilt — the expressions
         are copied verbatim from :meth:`_build`, so a refreshed context
         is bit-identical to a from-scratch build on the same model
         (property-tested in ``tests/core/test_context.py``).
@@ -624,32 +494,15 @@ class EvalContext:
     # cache
     # ------------------------------------------------------------------
     @classmethod
-    def for_model(
-        cls, model: SystemModel, kernel: str | None = "batched"
-    ) -> "EvalContext":
-        """The (cached) context of ``model`` for ``kernel``.
-
-        Kernel siblings share every column array by reference — only the
-        first call per model pays the build.  Dispatch kernels collapse
-        onto their engine (``"sharded"`` → ``"batched"``), so a sharded
-        run never builds a third context.
-        """
-        cache: dict[str, EvalContext] | None = getattr(model, _CACHE_ATTR, None)
-        if cache is not None and kernel in cache and _CACHE_ENABLED[0]:
-            # hot path of the per-page scalar kernels: an engine name
-            # already cached needs no validation
-            return cache[kernel]
-        kern = engine_kernel(resolve_kernel(kernel))
+    def for_model(cls, model: SystemModel) -> "EvalContext":
+        """The (cached) context of ``model``: only the first call per
+        model pays the build."""
         if not _CACHE_ENABLED[0]:
-            return cls(model, kern)
-        if cache is None:
-            cache = {}
-            setattr(model, _CACHE_ATTR, cache)
-        ctx = cache.get(kern)
+            return cls(model)
+        ctx: EvalContext | None = getattr(model, _CACHE_ATTR, None)
         if ctx is None:
-            share = next(iter(cache.values()), None)
-            ctx = cls(model, kern, _share=share)
-            cache[kern] = ctx
+            ctx = cls(model)
+            setattr(model, _CACHE_ATTR, ctx)
         return ctx
 
     @classmethod
@@ -657,7 +510,6 @@ class EvalContext:
         cls,
         model: SystemModel,
         servers,
-        kernel: str | None = "batched",
     ) -> "EvalContext":
         """A context over only the sub-universe hosted by ``servers``.
 
@@ -683,24 +535,23 @@ class EvalContext:
         ``tests/properties/test_property_sharded_policy.py``).
         """
         key = tuple(int(i) for i in servers)
-        kern = engine_kernel(resolve_kernel(kernel))
         cache: dict | None = None
         if _CACHE_ENABLED[0]:
             cache = getattr(model, _SUBSET_CACHE_ATTR, None)
             if cache is None:
                 cache = {}
                 setattr(model, _SUBSET_CACHE_ATTR, cache)
-            ctx = cache.get((key, kern))
+            ctx = cache.get(key)
             if ctx is not None:
                 return ctx
         sub, maps = restrict_to_servers(model, key)
-        ctx = cls.for_model(sub, kern)
+        ctx = cls.for_model(sub)
         ctx.global_servers = maps["servers"]
         ctx.global_pages = maps["pages"]
         ctx.global_comp_entries = maps["comp_entries"]
         ctx.global_opt_entries = maps["opt_entries"]
         if cache is not None:
-            cache[(key, kern)] = ctx
+            cache[key] = ctx
         return ctx
 
 

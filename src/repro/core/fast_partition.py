@@ -29,8 +29,9 @@ Hence marks, streams and stream times are **bit-identical** to
 :func:`~repro.core.partition.partition_page`, which the differential
 property suites (``tests/properties/test_property_fast_partition.py``,
 ``tests/properties/test_property_streams.py``) assert with exact ``==``
-comparisons.  The scalar implementation stays in the tree as the
-reference oracle.
+comparisons.  The scalar greedy stays in the tree as the reference
+oracle (:func:`repro.core.reference.partition_all_reference`) and as
+the small-flip-set path of batched storage restoration.
 
 Entry points
 ------------

@@ -1,8 +1,8 @@
-"""Batched greedy-restoration engines (the ``kernel="batched"`` path).
+"""Batched greedy-restoration engines behind :mod:`repro.core.restoration`.
 
 The Section 4.2 restoration loops (storage and processing) are
-specified in :mod:`repro.core.restoration` as scalar reference
-implementations built on a lazily-revalidated ``heapq``: every
+specified in :mod:`repro.core.reference` as scalar oracles built on a
+lazily-revalidated ``heapq``: every
 candidate action is pushed with its score, and each pop recomputes the
 candidate's score against current state — stale entries are reinserted,
 fresh ones accepted.  At paper scale one restoration run performs ~10^6
@@ -588,13 +588,13 @@ def restore_storage_batched(
     batch_min_pages: int = 64,
     counters: dict | None = None,
 ):
-    """Batched twin of ``restoration._restore_storage_one_server``.
+    """Batched twin of ``reference._restore_storage_one_server``.
 
     Produces the identical eviction sequence, statistics and final
     allocation (including ``replicas`` set mutation history — flips go
     through the per-entry setters in the scalar order).
     """
-    # deferred: restoration imports this module lazily for dispatch
+    # deferred: restoration imports this module at load time
     from repro.core.restoration import InfeasibleError, StorageRestorationStats
 
     m = alloc.model
@@ -744,7 +744,9 @@ def restore_storage_batched(
                 )
         else:
             plans = [
-                prepare_repartition(j, *partition_page(m, j, allowed=replicas)[:2])
+                prepare_repartition(
+                    j, *partition_page(m, j, allowed=replicas, ctx=alloc.ctx)[:2]
+                )
                 for j in pages
             ]
         plans = [p for p in plans if p is not None]
@@ -834,7 +836,7 @@ def restore_processing_batched(
     server_id: int,
     counters: dict | None = None,
 ):
-    """Batched twin of ``restoration._restore_processing_one_server``."""
+    """Batched twin of ``reference._restore_processing_one_server``."""
     from repro.core.restoration import InfeasibleError, ProcessingRestorationStats
 
     m = alloc.model

@@ -463,8 +463,8 @@ class OffloadOutcome:
     round_bytes: list[dict[str, float]] = field(
         default_factory=list, compare=False
     )
-    """Per-round scatter transport accounting, filled by the sharded
-    kernel: each entry holds ``delta_bytes`` (bytes actually shipped by
+    """Per-round scatter transport accounting, filled by sharded runs:
+    each entry holds ``delta_bytes`` (bytes actually shipped by
     the worker-resident delta protocol) and ``full_bytes`` (what the
     per-request full-state protocol would have shipped).  Empty for
     serial negotiations; excluded from equality — transport cost is not
@@ -498,7 +498,7 @@ def offload_repository(
         the pre-offload allocation imposes.
     scatter:
         Absorption-round executor with the signature and contract of
-        :func:`absorb_round_serial` (the default).  The sharded kernel
+        :func:`absorb_round_serial` (the default).  A sharded run
         injects a process-parallel scatter here; because per-server
         absorptions are independent, every conforming scatter yields
         bit-identical marks, and this function keeps all the

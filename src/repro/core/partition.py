@@ -35,17 +35,16 @@ from typing import Collection, Literal
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.context import EvalContext, Kernel, engine_kernel, resolve_kernel
+from repro.core.context import EvalContext
+from repro.core.fast_partition import partition_all_batched
 from repro.core.types import SystemModel
 from repro.obs.registry import get_registry
 
 __all__ = [
     "partition_page",
     "partition_all",
-    "resolve_kernel",
     "OptionalPolicy",
     "SortOrder",
-    "Kernel",
 ]
 
 OptionalPolicy = Literal["all", "beneficial", "none"]
@@ -60,6 +59,7 @@ def partition_page(
     page_id: int,
     allowed: Collection[int] | None = None,
     order: SortOrder = "decreasing",
+    ctx: EvalContext | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Run PARTITION for one page: greedy argmin over all k streams.
 
@@ -87,6 +87,9 @@ def partition_page(
         streams are short, so the greedy can still balance around them);
         ``"increasing"`` and ``"document"`` (the page's embed order) are
         provided for the ablation bench.
+    ctx:
+        The model's :class:`EvalContext`, when the caller already holds
+        it (restoration passes ``alloc.ctx``); ``None`` looks it up.
 
     Returns
     -------
@@ -98,7 +101,7 @@ def partition_page(
         ``local_time`` the Eq. 3 stream time and ``stream_times[r-1]``
         the Eq. 4 analog of remote stream ``r``.
     """
-    s = EvalContext.for_model(model, "scalar").scalars
+    s = (ctx or EvalContext.for_model(model)).scalars
     spb_local = s.spb_local[page_id]
     local_time = s.ovhd_local[page_id] + spb_local * s.html[page_id]
     stream_times = list(s.ovhd_remote[page_id])
@@ -162,7 +165,7 @@ def _optional_marks(
     n = len(page.optional)
     if n == 0 or policy == "none":
         return np.zeros(n, dtype=bool)
-    s = EvalContext.for_model(model, "scalar").scalars
+    s = EvalContext.for_model(model).scalars
     ovhd_local = s.ovhd_local[page_id]
     spb_local = s.spb_local[page_id]
     remote = list(zip(s.ovhd_remote[page_id], s.spb_remote[page_id]))
@@ -186,14 +189,16 @@ def partition_all(
     optional_policy: OptionalPolicy = "all",
     allowed_per_server: dict[int, Collection[int]] | None = None,
     order: SortOrder = "decreasing",
-    kernel: Kernel = "batched",
 ) -> Allocation:
     """Run PARTITION over every page and assemble an :class:`Allocation`.
 
     The resulting replica sets are exactly the marked objects: every MO
     with at least one ``X'_jk = 1`` on the server is stored (the paper's
     "Store the M_k's that have at least one non-zero entry in X matrix.
-    Store all optional objects.").
+    Store all optional objects.").  The greedy runs on the vectorized
+    pad-and-mask kernel of :mod:`repro.core.fast_partition`; its
+    per-page scalar oracle is
+    :func:`repro.core.reference.partition_all_reference`.
 
     Parameters
     ----------
@@ -206,51 +211,16 @@ def partition_all(
         replicated (used by constrained re-partitioning).
     order:
         Greedy iteration order (see :func:`partition_page`).
-    kernel:
-        ``"batched"`` (default) runs the vectorized pad-and-mask kernel
-        of :mod:`repro.core.fast_partition`; ``"scalar"`` runs the
-        reference per-page greedy.  Both produce **bit-identical**
-        allocations — the scalar path is kept as the differential-testing
-        oracle (see ``tests/properties/test_property_fast_partition.py``).
-        ``"sharded"`` (the process-parallel policy kernel of
-        :mod:`repro.core.shard`) maps to the batched engine here —
-        PARTITION called directly is a single-process phase.
     """
-    kernel = resolve_kernel(kernel)
     reg = get_registry()
     with reg.span("partition-all"):
-        if engine_kernel(kernel) == "batched":
-            from repro.core.fast_partition import partition_all_batched
-
-            alloc = partition_all_batched(
-                model,
-                optional_policy=optional_policy,
-                allowed_per_server=allowed_per_server,
-                order=order,
-            )
-        else:
-            alloc = Allocation(model)
-            for j in range(model.n_pages):
-                page = model.pages[j]
-                allowed = (
-                    None
-                    if allowed_per_server is None
-                    else allowed_per_server.get(page.server, ())
-                )
-                sl = model.comp_slice(j)
-                comp_marks, alloc.comp_stream[sl], _, _ = partition_page(
-                    model, j, allowed, order=order
-                )
-                for off, val in enumerate(comp_marks):
-                    if val:
-                        alloc.set_comp_local(sl.start + off, True)
-                opt_marks = _optional_marks(model, j, optional_policy, allowed)
-                slo = model.opt_slice(j)
-                for off, val in enumerate(opt_marks):
-                    if val:
-                        alloc.set_opt_local(slo.start + off, True)
+        alloc = partition_all_batched(
+            model,
+            optional_policy=optional_policy,
+            allowed_per_server=allowed_per_server,
+            order=order,
+        )
     if reg.enabled:
         reg.count("partition.runs")
-        reg.count(f"partition.kernel.{kernel}")
         reg.count("partition.pages", model.n_pages)
     return alloc

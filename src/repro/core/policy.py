@@ -30,7 +30,7 @@ from repro.core.allocation import Allocation
 from repro.core.constraints import ConstraintReport, evaluate_constraints
 from repro.core.cost_model import CostModel
 from repro.core.offload import OffloadConfig, OffloadOutcome, offload_repository
-from repro.core.partition import Kernel, OptionalPolicy, partition_all
+from repro.core.partition import OptionalPolicy, partition_all
 from repro.core.restoration import (
     ProcessingRestorationStats,
     StorageRestorationStats,
@@ -106,21 +106,17 @@ class RepositoryReplicationPolicy:
         :mod:`repro.core.partition`.
     offload_config:
         Tunables for the Eq. 9 negotiation.
-    kernel:
-        Policy kernel: ``"batched"`` (default, vectorized), ``"scalar"``
-        (the reference oracle), or ``"sharded"`` (per-server shards on a
-        process pool; see :mod:`repro.core.shard`).  All three produce
-        bit-identical results.
     shards:
-        Shard count for ``kernel="sharded"`` (default: ``REPRO_SHARDS``
-        if set, else ``min(n_servers, cpu_count)``).  Ignored by the
-        single-process kernels.
+        ``None`` (default) runs the pipeline in this process.  A count
+        ``N`` splits the servers into ``N`` shards that run PARTITION
+        and both restorations on a process pool, with a bit-identical
+        result (see :mod:`repro.core.shard`).
     pool:
-        Worker pool for ``kernel="sharded"`` — anything with a
-        ``submit()`` method (e.g.
-        ``repro.experiments.executor.persistent_pool(n)`` or
-        :class:`repro.core.shard.InlineShardPool`).  ``None`` uses the
-        shard module's private persistent pool.
+        Worker pool for the shards — anything with a ``submit()``
+        method (e.g. ``repro.experiments.executor.persistent_pool(n)``
+        or :class:`repro.core.shard.InlineShardPool`).  ``None`` uses
+        the shard module's private persistent pool; a pool without
+        ``shards`` is an error.
 
     Examples
     --------
@@ -139,15 +135,15 @@ class RepositoryReplicationPolicy:
         alpha2: float = 1.0,
         optional_policy: OptionalPolicy = "all",
         offload_config: OffloadConfig | None = None,
-        kernel: Kernel = "batched",
         shards: int | None = None,
         pool=None,
     ):
+        if pool is not None and shards is None:
+            raise ValueError("a worker pool needs a shard count: pass shards=N")
         self.alpha1 = alpha1
         self.alpha2 = alpha2
         self.optional_policy: OptionalPolicy = optional_policy
         self.offload_config = offload_config or OffloadConfig()
-        self.kernel: Kernel = kernel
         self.shards = shards
         self.pool = pool
 
@@ -168,7 +164,7 @@ class RepositoryReplicationPolicy:
             return self._run(model)
         run_info = {
             "entry": "RepositoryReplicationPolicy.run",
-            "kernel": self.kernel,
+            "shards": self.shards,
             "alpha1": self.alpha1,
             "alpha2": self.alpha2,
             "optional_policy": self.optional_policy,
@@ -182,7 +178,7 @@ class RepositoryReplicationPolicy:
         return holder["result"]
 
     def _run(self, model: SystemModel) -> PolicyResult:
-        if self.kernel == "sharded":
+        if self.shards is not None:
             # Process-parallel dispatch: per-server shards run PARTITION
             # and the restorations in workers, the parent reconciles and
             # replays OFF_LOADING — bit-identical to the inline pipeline
@@ -205,9 +201,7 @@ class RepositoryReplicationPolicy:
             with reg.span("partition") as sp:
                 spans["partition"] = sp
                 alloc = partition_all(
-                    model,
-                    optional_policy=self.optional_policy,
-                    kernel=self.kernel,
+                    model, optional_policy=self.optional_policy
                 )
             unconstrained_d = cost.D(alloc)
             phases: list[str] = ["partition"]
@@ -217,9 +211,7 @@ class RepositoryReplicationPolicy:
             if not report.storage_ok:
                 with reg.span("storage-restoration") as sp:
                     spans["storage-restoration"] = sp
-                    storage_stats = restore_storage_capacity(
-                        alloc, cost, kernel=self.kernel
-                    )
+                    storage_stats = restore_storage_capacity(alloc, cost)
                 phases.append("storage-restoration")
                 report = evaluate_constraints(alloc)
 
@@ -227,9 +219,7 @@ class RepositoryReplicationPolicy:
             if not report.local_ok:
                 with reg.span("processing-restoration") as sp:
                     spans["processing-restoration"] = sp
-                    processing_stats = restore_processing_capacity(
-                        alloc, cost, kernel=self.kernel
-                    )
+                    processing_stats = restore_processing_capacity(alloc, cost)
                 phases.append("processing-restoration")
                 report = evaluate_constraints(alloc)
 

@@ -1,4 +1,9 @@
-"""Sharded process-parallel policy kernel (``kernel="sharded"``).
+"""Sharded process-parallel policy runs (``shards=N``).
+
+``RepositoryReplicationPolicy(shards=N)`` — ``--shards N`` on the CLI,
+``REPRO_SHARDS`` for the CLI and ``ExperimentConfig.from_env`` — is the
+only sharding switch: without a count the pipeline runs in one process,
+with one it runs here.
 
 The paper's pipeline pins every page to exactly one server, which makes
 the hot phases *per-server decomposable*:
@@ -14,7 +19,7 @@ the hot phases *per-server decomposable*:
   repository-side round bookkeeping (``NewReq`` shares, ``L3``
   demotion, message counts) is order-sensitive.
 
-The sharded kernel exploits all three:
+A sharded run exploits all three:
 
 1. it splits the servers into ``shards`` groups (deterministic balanced
    LPT over per-server entry counts, :func:`plan_shards`);
@@ -23,7 +28,9 @@ The sharded kernel exploits all three:
    :meth:`~repro.core.context.EvalContext.for_servers` — columns, CSR
    groups and page streams for exactly its servers' pages, so worker
    setup is O(shard) instead of O(model) — and runs PARTITION + both
-   restorations on the restricted model (:func:`_run_shard`);
+   restorations on the restricted model through the same
+   :func:`~repro.core.restoration.run_local_allocation` the protocol
+   nodes use (:func:`_run_shard`);
 3. the parent reconciles: scatters the per-shard mark/replica frontiers
    (shipped as *global* entry indices) back into one global
    :class:`~repro.core.allocation.Allocation`, recomputes objectives
@@ -49,7 +56,7 @@ arrays, and the round proceeds identically (bit-identity never depends
 on the fast path being taken).
 
 Bit-identity is the contract, not an aspiration: the merged allocation,
-objective, stats and phase list equal the ``"batched"`` kernel's exactly
+objective, stats and phase list equal the in-process pipeline's exactly
 (property-tested in ``tests/properties/test_property_sharded_policy.py``
 and pinned by the golden regressions).  Three details make that hold:
 
@@ -98,7 +105,6 @@ from repro.core.allocation import Allocation
 from repro.core.constraints import evaluate_constraints
 from repro.core.context import EvalContext
 from repro.core.cost_model import CostModel
-from repro.core.fast_partition import optional_marks_batched, partition_pages_batched
 from repro.core.offload import (
     OffloadConfig,
     OffloadOutcome,
@@ -108,8 +114,7 @@ from repro.core.offload import (
 from repro.core.restoration import (
     ProcessingRestorationStats,
     StorageRestorationStats,
-    restore_processing_capacity,
-    restore_storage_capacity,
+    run_local_allocation,
 )
 from repro.core.types import SystemModel, pack_replicas, unpack_replicas
 from repro.obs.manifest import WORKER_ENV_VAR
@@ -253,27 +258,25 @@ atexit.register(shutdown_shard_pool)
 def resolve_shards(
     shards: int | None = None, n_servers: int | None = None
 ) -> int | None:
-    """Resolve the shard count: explicit value, else ``REPRO_SHARDS``, else auto.
+    """Resolve the shard count: explicit value, else ``REPRO_SHARDS``, else ``None``.
 
-    Mirrors ``repro.experiments.executor.resolve_jobs``: explicit
-    non-positive / non-integer values and malformed environment values
-    raise :class:`ValueError` naming the offending source.  With
-    ``n_servers`` known, auto resolves to
-    ``min(n_servers, cpu_count)`` and any request exceeding the server
-    count is rejected — a shard owns whole servers, so there is nothing
-    for an extra shard to do.  Without ``n_servers`` (e.g. CLI argument
-    validation before a model exists) an unset value stays ``None``.
+    The edge-side reader of the one sharding switch: the CLI and
+    ``ExperimentConfig.from_env`` call it, the library takes the count
+    it is given (``None`` = run in one process).  Mirrors
+    ``repro.experiments.executor.resolve_jobs``: explicit non-positive /
+    non-integer values and malformed environment values raise
+    :class:`ValueError` naming the offending source.  With ``n_servers``
+    known, a request exceeding the server count is rejected — a shard
+    owns whole servers, so there is nothing for an extra shard to do.
     """
     if shards is None:
         shards = env_positive_int("REPRO_SHARDS", default=None)
+        if shards is None:
+            return None
     elif isinstance(shards, bool) or not isinstance(shards, int):
         raise ValueError(f"shards must be a positive integer, got {shards!r}")
     elif shards <= 0:
         raise ValueError(f"shards must be a positive integer, got {shards}")
-    if shards is None:
-        if n_servers is None:
-            return None
-        shards = max(1, min(n_servers, os.cpu_count() or 1))
     if n_servers is not None and shards > n_servers:
         raise ValueError(
             f"shards must not exceed the model's server count "
@@ -315,6 +318,8 @@ def plan_shards(model: SystemModel, shards: int) -> tuple[tuple[int, ...], ...]:
     models shard identically.
     """
     n_servers = model.n_servers
+    if isinstance(shards, bool) or not isinstance(shards, int):
+        raise ValueError(f"shards must be a positive integer, got {shards!r}")
     if shards < 1 or shards > n_servers:
         raise ValueError(
             f"shards must be between 1 and the model's server count "
@@ -455,48 +460,22 @@ def _shard_pipeline(
     ctx = EvalContext.for_servers(model, server_ids)
     sub = ctx.model
     cost = CostModel(sub, opts.alpha1, opts.alpha2)
-    phase_seconds: dict[str, float] = {}
-
-    t = time.perf_counter()
     alloc = Allocation(sub)
-    if sub.n_pages:
-        comp_marks, _, _, _ = partition_pages_batched(sub)
-        alloc.set_comp_local_bulk(np.flatnonzero(comp_marks), True)
-    opt_marks = optional_marks_batched(sub, opts.optional_policy)
-    alloc.set_opt_local_bulk(np.flatnonzero(opt_marks), True)
-    phase_seconds["partition"] = time.perf_counter() - t
-    comp_partition = alloc.comp_local.copy()
-    opt_partition = alloc.opt_local.copy()
-
-    report = evaluate_constraints(alloc)
     n_local = len(server_ids)
+    local = run_local_allocation(
+        alloc, cost, range(n_local), optional_policy=opts.optional_policy
+    )
+    # per-server records carry server ids — map back to global (object
+    # ids are already global in the restricted model)
     storage_stats: list[tuple[int, StorageRestorationStats]] = []
-    storage_ran = bool(report.violated_servers_storage())
-    if storage_ran:
-        t = time.perf_counter()
-        for li in range(n_local):
-            stats = restore_storage_capacity(alloc, cost, server_id=li)
-            # eviction records carry server ids — map back to global
-            # (object ids are already global in the restricted model)
-            stats.evicted_objects = [
-                (int(server_ids[s]), k) for s, k in stats.evicted_objects
-            ]
-            storage_stats.append((int(server_ids[li]), stats))
-        phase_seconds["storage-restoration"] = time.perf_counter() - t
-        report = evaluate_constraints(alloc)
-
-    processing_stats: list[tuple[int, ProcessingRestorationStats]] = []
-    processing_ran = bool(report.violated_servers_processing())
-    if processing_ran:
-        t = time.perf_counter()
-        for li in range(n_local):
-            processing_stats.append(
-                (
-                    int(server_ids[li]),
-                    restore_processing_capacity(alloc, cost, server_id=li),
-                )
-            )
-        phase_seconds["processing-restoration"] = time.perf_counter() - t
+    for li, stats in local.storage_stats:
+        stats.evicted_objects = [
+            (int(server_ids[i]), k) for i, k in stats.evicted_objects
+        ]
+        storage_stats.append((int(server_ids[li]), stats))
+    processing_stats = [
+        (int(server_ids[li]), stats) for li, stats in local.processing_stats
+    ]
 
     replica_indptr = np.zeros(n_local + 1, dtype=np.int64)
     for li in range(n_local):
@@ -513,17 +492,17 @@ def _shard_pipeline(
         server_ids=tuple(int(i) for i in server_ids),
         n_pages=int(sub.n_pages),
         n_entries=int(len(sub.comp_objects) + len(sub.opt_objects)),
-        comp_partition_idx=ge_c[comp_partition],
-        opt_partition_idx=ge_o[opt_partition],
+        comp_partition_idx=ge_c[local.comp_partition],
+        opt_partition_idx=ge_o[local.opt_partition],
         comp_final_idx=ge_c[alloc.comp_local],
         opt_final_idx=ge_o[alloc.opt_local],
         replica_objects=replica_objects,
         replica_indptr=replica_indptr,
-        storage_ran=storage_ran,
-        processing_ran=processing_ran,
+        storage_ran=local.storage_ran,
+        processing_ran=local.processing_ran,
         storage_stats=storage_stats,
         processing_stats=processing_stats,
-        phase_seconds=phase_seconds,
+        phase_seconds=local.phase_seconds,
         seconds=time.perf_counter() - t0,
     )
     return result, ctx, cost, alloc
@@ -967,20 +946,20 @@ def run_sharded_policy(
     alpha2: float = 1.0,
     optional_policy: str = "all",
     offload_config: OffloadConfig | None = None,
-    shards: int | None = None,
+    *,
+    shards: int,
     pool: ShardPool | None = None,
 ) -> "PolicyResult":
     """The full policy pipeline, sharded over a worker pool.
 
-    Bit-identical to ``RepositoryReplicationPolicy(kernel="batched")``
+    Bit-identical to the in-process ``RepositoryReplicationPolicy()``
     on allocation, objectives, stats, constraint report and phase list
     — see the module docstring for why.
 
     Parameters
     ----------
     shards:
-        Group count; resolved via :func:`resolve_shards` (explicit →
-        ``REPRO_SHARDS`` → ``min(n_servers, cpu_count)``).
+        Group count, between 1 and the model's server count.
     pool:
         Injected :class:`ShardPool`; defaults to this module's private
         persistent :func:`default_pool`.  Pass
@@ -990,14 +969,13 @@ def run_sharded_policy(
 
     if getattr(model, "n_streams", 2) > 2:
         raise NotImplementedError(
-            "the sharded kernel supports the k=2 topology only; run "
-            'kernel="batched" or "scalar" for k-stream replica meshes '
+            "sharded runs support the k=2 topology only; run "
+            "k-stream replica meshes without shards "
             "(sharded k>2 is a planned follow-up)"
         )
     reg = obs.get_registry()
     cost = CostModel(model, alpha1, alpha2)
-    n_shards = resolve_shards(shards, n_servers=model.n_servers)
-    groups = plan_shards(model, n_shards)
+    groups = plan_shards(model, shards)
     if pool is None:
         pool = default_pool(len(groups))
     if getattr(pool, "inline", False):
@@ -1124,7 +1102,7 @@ def run_sharded_policy(
         if "off-loading" in spans:
             phase_seconds["off-loading"] = spans["off-loading"].seconds
         reg.count("policy.runs")
-        reg.count("policy.kernel.sharded")
+        reg.count("policy.sharded_runs")
         reg.gauge("policy.objective", objective)
         reg.gauge("policy.unconstrained_objective", unconstrained_d)
         reg.gauge("policy.feasible", float(report.ok))

@@ -656,8 +656,8 @@ class ColumnarModel(SystemModel):
 
     The spec tuples (``pages``, ``servers``, ``objects``) and
     ``pages_by_server`` are materialised **lazily** from the arrays on
-    first access — only the scalar reference kernels (e.g. the
-    ``partition_page`` fallback inside batched restoration) touch them,
+    first access — only the scalar greedy (the ``partition_page``
+    fallback inside batched restoration) and the scalar oracles touch them,
     and then only for the few pages they re-partition.  The
     reconstructed specs are exact: every spec field round-trips through
     the arrays bit-identically, so scalar and batched consumers see the

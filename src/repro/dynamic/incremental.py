@@ -53,7 +53,6 @@ from repro.core.context import (
     EvalContext,
     IncrementalObjective,
     adopt_frequency_context,
-    engine_kernel,
     is_frequency_clone,
 )
 from repro.core.fast_partition import (
@@ -148,8 +147,9 @@ class IncrementalReplanner:
     ----------
     policy:
         The full pipeline used for epoch 0, for hysteresis full solves,
-        and as the source of cost-model weights / kernel / optional
-        policy for the incremental path.
+        and as the source of cost-model weights and optional policy for
+        the incremental path (which runs in this process; a sharded
+        policy shards only its full solves).
     model:
         The epoch-0 planner model.
     config:
@@ -257,12 +257,11 @@ class IncrementalReplanner:
         self, new_model: SystemModel, dirty: np.ndarray
     ) -> tuple[Allocation, ReplanStats]:
         policy = self.policy
-        kernel = engine_kernel(policy.kernel)
         # Frequency-only clone: reuse the previous epoch's structural
         # context columns (no-op when the clone came through
         # replace_frequencies, which already adopted them).
         adopt_frequency_context(self.model, new_model)
-        ctx = EvalContext.for_model(new_model, kernel)
+        ctx = EvalContext.for_model(new_model)
         alloc = transplant_allocation(self.allocation, new_model)
         cost = policy.cost_model(new_model)
         inc = IncrementalObjective(
@@ -320,12 +319,8 @@ class IncrementalReplanner:
             # result without paying for the untouched servers.  Starting
             # from the unconstrained PARTITION marks, each rebuilt
             # server's final marks match the from-scratch pipeline's.
-            restore_storage_capacity(
-                alloc, cost, servers=affected, kernel=kernel
-            )
-            restore_processing_capacity(
-                alloc, cost, servers=affected, kernel=kernel
-            )
+            restore_storage_capacity(alloc, cost, servers=affected)
+            restore_processing_capacity(alloc, cost, servers=affected)
             report = evaluate_constraints(alloc)
 
         if not report.repo_ok:
@@ -334,7 +329,7 @@ class IncrementalReplanner:
             offload_repository(alloc, cost, policy.offload_config)
             stats.offload_ran = True
 
-        # The kernels above mutate the allocation directly; fold their
+        # The phases above mutate the allocation directly; fold their
         # flips back and recompute exactly (resync is the bit-exact
         # escape hatch of IncrementalObjective).
         inc.comp_local = alloc.comp_local.copy()

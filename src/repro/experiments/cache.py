@@ -9,7 +9,7 @@ benchmark file.
 
 :class:`ArtifactCache` stores one :class:`RunArtifacts` bundle per
 **content address** — the SHA-256 digest of the (already relaxed)
-:class:`~repro.workload.params.WorkloadParams`, the kernel name, the
+:class:`~repro.workload.params.WorkloadParams`, the
 perturbation model, and the run's derived ``(model, trace, sim)`` seeds.
 Two configurations that would generate bit-identical artifacts therefore
 share one cache entry, across sweep points, experiments, and benchmark
@@ -105,7 +105,7 @@ class RunArtifacts:
     cost: CostModel
     """The proposed policy's cost model for ``model``."""
     context: EvalContext
-    """The shared columnar evaluation context for ``(model, kernel)``.
+    """The shared columnar evaluation context of ``model``.
 
     Cached here as part of the content-addressed bundle: every sweep
     point, baseline, and simulation replay touching this model reuses
@@ -146,7 +146,6 @@ class ArtifactCache:
     def get(
         self,
         params: WorkloadParams,
-        kernel: str,
         perturbation: PerturbationModel,
         model_seed: int,
         trace_seed: int,
@@ -160,7 +159,6 @@ class ArtifactCache:
         """
         key = (
             params_digest(params),
-            str(kernel),
             _digest(perturbation),
             int(model_seed),
             int(trace_seed),
@@ -180,7 +178,7 @@ class ArtifactCache:
                 # so it never writes its own per-run manifest here.
                 with use_registry(MetricsRegistry()):
                     bundle = self._build(
-                        params, kernel, perturbation,
+                        params, perturbation,
                         model_seed, trace_seed, sim_seed,
                     )
             self._store[key] = bundle
@@ -192,7 +190,6 @@ class ArtifactCache:
     @staticmethod
     def _build(
         params: WorkloadParams,
-        kernel: str,
         perturbation: PerturbationModel,
         model_seed: int,
         trace_seed: int,
@@ -201,7 +198,7 @@ class ArtifactCache:
         model = generate_workload(params, seed=model_seed)
         trace = generate_trace(model, params, seed=trace_seed)
         policy = RepositoryReplicationPolicy(
-            alpha1=params.alpha1, alpha2=params.alpha2, kernel=kernel
+            alpha1=params.alpha1, alpha2=params.alpha2
         )
         result = policy.run(model)
         cost = policy.cost_model(model)
@@ -215,7 +212,7 @@ class ArtifactCache:
             model=model,
             trace=trace,
             cost=cost,
-            context=EvalContext.for_model(model, kernel=kernel),
+            context=EvalContext.for_model(model),
             reference=result.allocation,
             reference_sim=reference_sim,
             model_seed=model_seed,

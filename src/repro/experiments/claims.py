@@ -125,7 +125,7 @@ def _claims_point(ctx: RunContext, point: str) -> float:
     caps = storage_capacities_for_fraction(ctx.model, ctx.reference, 0.65)
     clone = clone_with_capacities(ctx.model, storage=caps)
     result = RepositoryReplicationPolicy(
-        alpha1=params.alpha1, alpha2=params.alpha2, kernel=ctx.config.kernel
+        alpha1=params.alpha1, alpha2=params.alpha2, shards=ctx.config.shards
     ).run(clone)
     sim = ctx.simulate(result.allocation, ctx.retrace(clone))
     return ctx.relative_increase(sim)

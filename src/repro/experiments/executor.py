@@ -108,7 +108,7 @@ def persistent_pool(jobs: int | None = None) -> ProcessPoolExecutor:
 
     ``repro.core.shard`` takes its worker pool as a parameter (the
     layering lint forbids it importing this module); callers that want
-    the sharded policy kernel to share this executor's warm workers pass
+    sharded policy runs to share this executor's warm workers pass
     ``pool=persistent_pool(n)`` to the policy.  ``jobs`` resolves like
     :func:`resolve_jobs` (explicit → ``REPRO_JOBS`` → 1).
     """

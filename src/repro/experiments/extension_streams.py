@@ -101,7 +101,7 @@ def _streams_point(ctx: RunContext, k: int):
         repository_capacity=np.inf,
     )
     model = generate_workload(params, seed=ctx.trace_seed)
-    alloc = partition_all(model, kernel=ctx.config.kernel)
+    alloc = partition_all(model)
     cost = CostModel(model, alpha1=params.alpha1, alpha2=params.alpha2)
     remote = ~alloc.comp_local
     mesh = remote & (alloc.comp_stream > 1)

@@ -56,7 +56,7 @@ def _fig1_point(ctx: RunContext, point: tuple):
     caps = storage_capacities_for_fraction(ctx.model, ctx.reference, frac)
     clone = clone_with_capacities(ctx.model, storage=caps)
     result = RepositoryReplicationPolicy(
-        alpha1=params.alpha1, alpha2=params.alpha2, kernel=ctx.config.kernel
+        alpha1=params.alpha1, alpha2=params.alpha2, shards=ctx.config.shards
     ).run(clone)
     trace_c = ctx.retrace(clone)
     ours = ctx.relative_increase(ctx.simulate(result.allocation, trace_c))

@@ -66,7 +66,7 @@ def _fig2_point(ctx: RunContext, point: tuple):
         ctx.model, storage=storage_caps, processing=proc_caps
     )
     result = RepositoryReplicationPolicy(
-        alpha1=params.alpha1, alpha2=params.alpha2, kernel=ctx.config.kernel
+        alpha1=params.alpha1, alpha2=params.alpha2, shards=ctx.config.shards
     ).run(clone)
     sim = ctx.simulate(result.allocation, ctx.retrace(clone))
     return ctx.relative_increase(sim)

@@ -66,7 +66,7 @@ def _fig3_point(ctx: RunContext, point: tuple):
     )
     # phases 1-3 (repository unconstrained here)
     policy = RepositoryReplicationPolicy(
-        alpha1=params.alpha1, alpha2=params.alpha2, kernel=ctx.config.kernel
+        alpha1=params.alpha1, alpha2=params.alpha2, shards=ctx.config.shards
     )
     pre = policy.run(clone)
     trace_c = ctx.retrace(clone)

@@ -22,8 +22,8 @@ Environment overrides honoured by the benchmark suite:
 * ``REPRO_BENCH_SCALE`` — ``paper`` | ``small`` | ``tiny`` workload size,
 * ``REPRO_BENCH_REQUESTS`` — trace length per server,
 * ``REPRO_JOBS`` — parallel experiment workers (default 1 = serial),
-* ``REPRO_KERNEL`` — ``batched`` | ``scalar`` | ``sharded`` policy kernel,
-* ``REPRO_SHARDS`` — shard count for the ``sharded`` kernel,
+* ``REPRO_SHARDS`` — run every policy solve on that many server shards
+  (unset = in one process; see :mod:`repro.core.shard`),
 * ``REPRO_METRICS`` — run-manifest output path (see :mod:`repro.obs`).
 
 The integer overrides are validated on read: a non-positive or
@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.cost_model import CostModel
-from repro.core.partition import resolve_kernel
 from repro.core.types import SystemModel
 from repro.experiments.cache import artifact_cache
 from repro.obs.registry import get_registry
@@ -74,11 +73,11 @@ class ExperimentConfig:
     """Root seed; run ``r`` derives workload/trace/simulation streams."""
     perturbation: PerturbationModel = PAPER_PERTURBATION
     """Actual-vs-estimated deviation model."""
-    kernel: str = "batched"
-    """Policy kernel (``"batched"`` | ``"scalar"`` | ``"sharded"``); all
-    bit-identical — the scalar path is the differential-testing oracle,
-    the sharded path fans per-server shards over worker processes (shard
-    count from ``REPRO_SHARDS``, see :mod:`repro.core.shard`)."""
+    shards: int | None = None
+    """Server shards for every policy solve of the sweeps (``None`` =
+    in one process).  A count fans per-server shards over worker
+    processes with bit-identical results (see :mod:`repro.core.shard`);
+    the CLI's ``--shards`` and ``REPRO_SHARDS`` set it."""
     jobs: int = 1
     """Worker processes for the sweep executor (1 = serial; results are
     bit-identical either way — see :mod:`repro.experiments.executor`)."""
@@ -90,8 +89,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_env(cls) -> "ExperimentConfig":
-        """Honour the ``REPRO_BENCH_*`` / ``REPRO_JOBS`` environment
-        overrides.
+        """Honour the ``REPRO_BENCH_*`` / ``REPRO_JOBS`` /
+        ``REPRO_SHARDS`` environment overrides.
 
         Defaults (no environment set) are sized so the full benchmark
         suite completes in minutes: a ``small``-scale workload with 5
@@ -117,11 +116,11 @@ class ExperimentConfig:
             params = params.with_(requests_per_server=requests)
         n_runs = env_positive_int("REPRO_BENCH_RUNS", default=5)
         jobs = env_positive_int("REPRO_JOBS", default=1)
-        try:
-            kernel = resolve_kernel(os.environ.get("REPRO_KERNEL"))
-        except ValueError as exc:
-            raise ValueError(f"REPRO_KERNEL: {exc}") from None
-        return cls(params=params, n_runs=n_runs, kernel=kernel, jobs=jobs)
+        # deferred: the shard module pulls in the process-pool machinery
+        from repro.core.shard import resolve_shards
+
+        shards = resolve_shards(None)
+        return cls(params=params, n_runs=n_runs, shards=shards, jobs=jobs)
 
 
 @dataclass
@@ -212,7 +211,6 @@ def prepare_run(
     model_seed, trace_seed, sim_seed = (int(s) for s in seeds)
     art = artifact_cache().get(
         params=params,
-        kernel=config.kernel,
         perturbation=config.perturbation,
         model_seed=model_seed,
         trace_seed=trace_seed,

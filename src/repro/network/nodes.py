@@ -30,12 +30,8 @@ from repro.core.offload import (
     compute_server_status,
     plan_offload_round,
 )
-from repro.core.partition import OptionalPolicy, _optional_marks, partition_page
-from repro.core.restoration import (
-    restore_processing_capacity,
-    restore_storage_capacity,
-)
-from repro.core.constraints import evaluate_constraints
+from repro.core.partition import OptionalPolicy
+from repro.core.restoration import run_local_allocation
 from repro.network.bus import MessageBus
 from repro.network.messages import (
     Message,
@@ -77,23 +73,12 @@ class LocalServerNode:
     # ------------------------------------------------------------------
     def run_local_allocation(self) -> None:
         """PARTITION + restoration for this server's pages only."""
-        m = self.alloc.model
-        for j in m.pages_by_server[self.server_id]:
-            marks, _, _, _ = partition_page(m, j)
-            sl = m.comp_slice(j)
-            for off, val in enumerate(marks):
-                if val:
-                    self.alloc.set_comp_local(sl.start + off, True)
-            opt_marks = _optional_marks(m, j, self.optional_policy, None)
-            slo = m.opt_slice(j)
-            for off, val in enumerate(opt_marks):
-                if val:
-                    self.alloc.set_opt_local(slo.start + off, True)
-        report = evaluate_constraints(self.alloc)
-        if self.server_id in report.violated_servers_storage():
-            restore_storage_capacity(self.alloc, self.cost, self.server_id)
-        if self.server_id in report.violated_servers_processing():
-            restore_processing_capacity(self.alloc, self.cost, self.server_id)
+        run_local_allocation(
+            self.alloc,
+            self.cost,
+            [self.server_id],
+            optional_policy=self.optional_policy,
+        )
 
     def send_status(self) -> None:
         """Report Space(S_i), P(S_i), P(S_i, R) to the repository."""

@@ -2,7 +2,7 @@
 
 A manifest is the machine-readable record the benchmark suite and the
 CLI emit so the performance trajectory of this repository stays diffable
-across PRs: what ran (command, seed, workload scale, kernel, git SHA),
+across PRs: what ran (command, seed, workload scale, shards, git SHA),
 how long each phase took (wall-clock spans from the active
 :class:`~repro.obs.registry.MetricsRegistry`), and what the run did
 (restoration counters, off-loading rounds, simulation percentiles,
@@ -18,7 +18,7 @@ Schema (``repro/run-manifest-v1``)
       "git_sha": "abc123..." | null,          # null outside a checkout
       "run": {...},                            # caller-supplied identity:
                                                # command, seed, scale,
-                                               # kernel, n_runs, ...
+                                               # shards, n_runs, ...
       "phases": [                              # every span, in completion
         {"name": "...", "path": "policy/partition", "seconds": 0.12}
       ],
@@ -161,7 +161,7 @@ def build_manifest(
     registry:
         The metrics registry that observed the run.
     run:
-        Caller-supplied identity fields (command, seed, scale, kernel,
+        Caller-supplied identity fields (command, seed, scale, shards,
         n_runs, ...) — copied verbatim under ``"run"``.
     policy:
         Optional :class:`~repro.core.policy.PolicyResult` to digest.

@@ -13,7 +13,6 @@ from repro.core.context import (
     clear_derived_state,
     is_frequency_clone,
     rebuild_contexts,
-    resolve_kernel,
 )
 from repro.core.cost_model import CostModel
 from repro.core.partition import partition_all
@@ -41,32 +40,11 @@ def freq_clone(model: SystemModel, frequencies) -> SystemModel:
     return SystemModel(model.servers, model.repository, pages, model.objects)
 
 
-class TestResolveKernel:
-    def test_default(self):
-        assert resolve_kernel(None) == "batched"
-
-    def test_explicit(self):
-        assert resolve_kernel("scalar") == "scalar"
-        assert resolve_kernel("batched") == "batched"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel("simd")
-
-
 class TestCaching:
     def test_for_model_cached(self, micro_model):
         a = EvalContext.for_model(micro_model)
         b = EvalContext.for_model(micro_model)
         assert a is b
-
-    def test_kernel_siblings_share_columns(self, micro_model):
-        batched = EvalContext.for_model(micro_model, kernel="batched")
-        scalar = EvalContext.for_model(micro_model, kernel="scalar")
-        assert batched is not scalar
-        assert batched.comp_sizes is scalar.comp_sizes
-        assert batched.pair_indptr is scalar.pair_indptr
-        assert batched.html_request_load is scalar.html_request_load
 
     def test_rebuild_contexts_disables_cache(self, micro_model):
         cached = EvalContext.for_model(micro_model)

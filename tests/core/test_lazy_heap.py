@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.cost_model import CostModel
 from repro.core.partition import partition_all
-from repro.core.restoration import _LazyHeap, restore_storage_capacity
+from repro.core.reference import _LazyHeap
+from repro.core.restoration import restore_storage_capacity
 from tests.conftest import build_micro_model
 
 

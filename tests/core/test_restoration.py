@@ -13,6 +13,7 @@ from repro.core.constraints import (
 )
 from repro.core.cost_model import CostModel
 from repro.core.partition import partition_all
+from repro.core.reference import restore_storage_reference
 from repro.core.restoration import (
     InfeasibleError,
     restore_processing_capacity,
@@ -161,8 +162,13 @@ class TestServerSubsets:
 
     @pytest.mark.parametrize("kernel", ["batched", "scalar"])
     def test_kernels_agree_on_subset(self, kernel):
+        """The engine and its scalar oracle both honour ``servers``."""
+        restore = {
+            "batched": restore_storage_capacity,
+            "scalar": restore_storage_reference,
+        }[kernel]
         m, alloc, cost = _constrained_partition(storage=(700.0, 900.0))
-        restore_storage_capacity(alloc, cost, servers=[0, 1], kernel=kernel)
+        restore(alloc, cost, servers=[0, 1])
         assert evaluate_constraints(alloc).storage_ok
 
     def test_servers_and_server_id_mutually_exclusive(self, micro_model):
@@ -251,7 +257,7 @@ class TestProcessingRestoration:
         """The first switch must be (weakly) the cheapest amortised one."""
         m, alloc, cost = _constrained_partition(processing=(7.0, math.inf))
         # compute all candidate amortised deltas at S0 before restoration
-        from repro.core.restoration import _PageState
+        from repro.core.reference import _PageState
 
         state = _PageState(cost, alloc)
         cands = []

@@ -123,7 +123,7 @@ class TestEmptyShard:
         batched = RepositoryReplicationPolicy().run(model)
         for shards in (1, 2, 3):
             sharded = RepositoryReplicationPolicy(
-                kernel="sharded", shards=shards, pool=InlineShardPool()
+                shards=shards, pool=InlineShardPool()
             ).run(model)
             _assert_identical(sharded, batched)
             assert sharded.allocation.replicas[1] == set()
@@ -138,7 +138,7 @@ class TestEmptyShard:
         batched = RepositoryReplicationPolicy().run(m2)
         assert "storage-restoration" in batched.phases_run
         sharded = RepositoryReplicationPolicy(
-            kernel="sharded", shards=3, pool=InlineShardPool()
+            shards=3, pool=InlineShardPool()
         ).run(m2)
         _assert_identical(sharded, batched)
 
@@ -165,7 +165,7 @@ class TestDominantShard:
         batched = RepositoryReplicationPolicy().run(model)
         assert "storage-restoration" in batched.phases_run
         sharded = RepositoryReplicationPolicy(
-            kernel="sharded", shards=2, pool=InlineShardPool()
+            shards=2, pool=InlineShardPool()
         ).run(model)
         _assert_identical(sharded, batched)
 
@@ -184,7 +184,7 @@ class TestExactCapacityBoundary:
         batched = RepositoryReplicationPolicy().run(m2)
         assert batched.phases_run.count("storage-restoration") == 1
         sharded = RepositoryReplicationPolicy(
-            kernel="sharded", shards=2, pool=InlineShardPool()
+            shards=2, pool=InlineShardPool()
         ).run(m2)
         _assert_identical(sharded, batched)
         assert sharded.allocation.replicas[0] == ref.replicas[0]
@@ -218,9 +218,14 @@ class TestInvalidShardCounts:
         monkeypatch.delenv("REPRO_SHARDS", raising=False)
         assert resolve_shards(None) is None
 
-    def test_auto_capped_by_server_count(self, monkeypatch):
+    def test_unset_with_model_stays_none(self, monkeypatch):
+        """No implicit count: unset means the in-process pipeline."""
         monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert resolve_shards(None, n_servers=1) == 1
+        assert resolve_shards(None, n_servers=1) is None
+
+    def test_pool_without_shards_rejected(self):
+        with pytest.raises(ValueError, match="shard count"):
+            RepositoryReplicationPolicy(pool=InlineShardPool())
 
 
 class TestPlannerDeterminism:

@@ -20,6 +20,7 @@ from repro.core.shard import run_sharded_policy
 from repro.core.types import StreamTopology, resolve_streams
 from repro.workload.generator import generate_workload
 from repro.workload.params import WorkloadParams
+from tests.reference_arm import reference_pipeline
 
 
 class TestResolveStreams:
@@ -105,8 +106,9 @@ class TestMeshPipeline:
 
     def test_scalar_batched_identical_under_constraints(self):
         model = _constrain(generate_workload(_mesh_params(3), seed=5))
-        scalar = RepositoryReplicationPolicy(kernel="scalar").run(model)
-        batched = RepositoryReplicationPolicy(kernel="batched").run(model)
+        with reference_pipeline():
+            scalar = RepositoryReplicationPolicy().run(model)
+        batched = RepositoryReplicationPolicy().run(model)
         assert scalar.allocation == batched.allocation
         assert scalar.objective == batched.objective
         assert scalar.phases_run == batched.phases_run
@@ -131,7 +133,7 @@ class TestK2OnlyGuards:
     def test_sharded_kernel_rejects_mesh(self):
         model = generate_workload(_mesh_params(3), seed=5)
         with pytest.raises(NotImplementedError, match="k=2"):
-            run_sharded_policy(model)
+            run_sharded_policy(model, shards=2)
 
     def test_offload_absorption_rejects_mesh(self):
         from repro.core.offload import absorb_extra_workload

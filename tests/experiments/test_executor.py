@@ -81,9 +81,9 @@ class TestResolveShards:
         monkeypatch.setenv("REPRO_SHARDS", "4")
         assert resolve_shards(None, n_servers=10) == 4
 
-    def test_auto_caps_at_server_count(self, monkeypatch):
+    def test_unset_means_in_process(self, monkeypatch):
         monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert resolve_shards(None, n_servers=1) == 1
+        assert resolve_shards(None, n_servers=10) is None
 
     @pytest.mark.parametrize("value", ["0", "-3", "2.5", "abc"])
     def test_env_rejects_bad_values(self, monkeypatch, value):
@@ -107,7 +107,6 @@ class TestArtifactCache:
         params = WorkloadParams.tiny().with_(requests_per_server=50)
         key = dict(
             params=params,
-            kernel="batched",
             perturbation=PAPER_PERTURBATION,
             model_seed=1,
             trace_seed=2,
@@ -123,7 +122,6 @@ class TestArtifactCache:
         params = WorkloadParams.tiny().with_(requests_per_server=50)
         common = dict(
             params=params,
-            kernel="batched",
             perturbation=PAPER_PERTURBATION,
             model_seed=1,
             trace_seed=2,
@@ -138,7 +136,6 @@ class TestArtifactCache:
         params = WorkloadParams.tiny().with_(requests_per_server=50)
         common = dict(
             params=params,
-            kernel="batched",
             perturbation=PAPER_PERTURBATION,
             model_seed=1,
             trace_seed=2,

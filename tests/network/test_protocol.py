@@ -52,6 +52,22 @@ class TestEquivalenceWithCentralised:
         _assert_same_allocation(cen.allocation, dist.allocation)
         assert dist.feasible == cen.feasible
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_stream_mesh_matches_central(self, k):
+        """Nodes install PARTITION's per-entry streams: at k > 2 a remote
+        download lands on the mesh site PARTITION chose, not stream 1."""
+        params = WorkloadParams.tiny().with_(
+            n_streams=k, n_repositories=2, repository_capacity=math.inf
+        )
+        m = generate_workload(params, seed=7)
+        cen = RepositoryReplicationPolicy().run(m)
+        dist = run_distributed_policy(m)
+        _assert_same_allocation(cen.allocation, dist.allocation)
+        assert np.array_equal(
+            dist.allocation.comp_stream, cen.allocation.comp_stream
+        )
+        assert dist.objective == cen.objective
+
 
 class TestProtocolBehaviour:
     def test_message_counts_unconstrained(self, micro_model):

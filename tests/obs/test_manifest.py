@@ -192,7 +192,7 @@ class TestEndToEndWiring:
         doc = json.loads(target.read_text())
         assert doc["schema"] == SCHEMA
         assert doc["run"]["command"] == "demo"
-        assert doc["run"]["kernel"] == "batched"
+        assert doc["run"]["shards"] is None
         assert doc["counters"]["policy.runs"] >= 1.0
         assert doc["counters"]["simulation.replays"] >= 1.0
         assert any(p["path"].startswith("policy") for p in doc["phases"])

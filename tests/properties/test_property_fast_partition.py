@@ -20,6 +20,7 @@ from repro.core.fast_partition import (
     partition_pages_batched,
 )
 from repro.core.partition import _optional_marks, partition_all, partition_page
+from repro.core.reference import partition_all_reference
 from tests.properties.strategies import system_models
 
 ORDERS = ("decreasing", "increasing", "document")
@@ -82,8 +83,8 @@ def test_optional_marks_batched_matches_scalar(model, policy):
 @settings(max_examples=40, deadline=None)
 def test_partition_all_kernels_build_equal_allocations(model, order, policy):
     """Marks, replica sets, and mark-count bookkeeping all coincide."""
-    scalar = partition_all(model, optional_policy=policy, order=order, kernel="scalar")
-    batched = partition_all(model, optional_policy=policy, order=order, kernel="batched")
+    scalar = partition_all_reference(model, optional_policy=policy, order=order)
+    batched = partition_all(model, optional_policy=policy, order=order)
     assert scalar == batched
     assert scalar._mark_counts == batched._mark_counts
     batched.check_invariants()
@@ -98,9 +99,7 @@ def test_partition_all_batched_with_whitelists(model, data):
         )
         for i in range(model.n_servers)
     }
-    scalar = partition_all(
-        model, allowed_per_server=allowed_per_server, kernel="scalar"
-    )
+    scalar = partition_all_reference(model, allowed_per_server=allowed_per_server)
     batched = partition_all_batched(
         model, allowed_per_server=allowed_per_server
     )

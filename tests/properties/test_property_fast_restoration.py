@@ -1,6 +1,6 @@
 """Differential-oracle property tests for the batched restoration kernel.
 
-The scalar greedy loops in :mod:`repro.core.restoration` are the
+The scalar greedy loops in :mod:`repro.core.reference` are the
 reference oracles; the batched kernel
 (:mod:`repro.core.fast_restoration`) must reproduce their **decision
 sequences bit-exactly** — same evictions, same comp/opt switches, in
@@ -16,8 +16,8 @@ Two layers:
   under random push/mutate/kill/pop interleavings, including the
   ``purge_dead`` reserve mode (death is permanent there, matching the
   engine contract);
-* engine level — each restoration phase run under both kernels on
-  random capacity-constrained k ∈ {2, 3, 4} models, with each kernel
+* engine level — each restoration phase run by the oracle and by the
+  engine on random capacity-constrained k ∈ {2, 3, 4} models, each arm
   building its own
   input allocation via an identical ``partition_all`` (no shared state,
   no deepcopy aliasing).
@@ -33,10 +33,14 @@ from repro.core.constraints import html_request_load, local_processing_load
 from repro.core.cost_model import CostModel
 from repro.core.fast_restoration import VectorLazyHeap, restore_storage_batched
 from repro.core.partition import partition_all
+from repro.core.reference import (
+    _LazyHeap,
+    restore_processing_reference,
+    restore_storage_reference,
+)
 from repro.core.restoration import (
     _TOL,
     StorageRestorationStats,
-    _LazyHeap,
     restore_processing_capacity,
     restore_storage_capacity,
 )
@@ -186,7 +190,9 @@ def test_storage_restoration_kernels_identical(model, frac):
     caps = model.html_bytes_by_server() + frac * ref.stored_bytes_all() + 1.0
     _assert_same_decisions(
         _with_capacities(model, storage=caps),
-        lambda a, c, k: restore_storage_capacity(a, c, kernel=k),
+        lambda a, c, k: (
+            restore_storage_reference if k == "scalar" else restore_storage_capacity
+        )(a, c),
     )
 
 
@@ -200,7 +206,7 @@ def test_storage_batched_repartition_identical(model, frac):
 
     def every_flip_batched(alloc, cost, kernel):
         if kernel == "scalar":
-            return restore_storage_capacity(alloc, cost, kernel="scalar")
+            return restore_storage_reference(alloc, cost)
         stats = StorageRestorationStats()
         for i in range(alloc.model.n_servers):
             stats.merge(restore_storage_batched(alloc, cost, i, batch_min_pages=1))
@@ -220,5 +226,9 @@ def test_processing_restoration_kernels_identical(model, frac):
     )
     _assert_same_decisions(
         _with_capacities(model, processing=caps),
-        lambda a, c, k: restore_processing_capacity(a, c, kernel=k),
+        lambda a, c, k: (
+            restore_processing_reference
+            if k == "scalar"
+            else restore_processing_capacity
+        )(a, c),
     )

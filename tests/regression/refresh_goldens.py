@@ -27,11 +27,11 @@ a perf PR pass):
 
 then commit the updated ``goldens.json`` together with an explanation of
 why the numbers legitimately moved.  ``test_golden_table1.py`` recomputes
-the same quantities under every kernel — ``batched``, the ``scalar``
-oracle and (for the full-policy scenarios) the ``sharded``
-process-parallel kernel — and compares all of them against the *same*
-snapshot: the goldens are kernel-independent by contract, so adding a
-kernel never requires a refresh.
+the same quantities in every arm of :mod:`tests.reference_arm` — the
+default ``batched`` engine, the ``scalar`` oracles of
+:mod:`repro.core.reference` and (for the full-policy scenarios) the
+``sharded`` run on per-server shards — and compares all of them against
+the *same* snapshot: the goldens are engine-independent by contract.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.core.partition import partition_all
 from repro.core.policy import RepositoryReplicationPolicy
+from repro.core.reference import partition_all_reference
 from repro.experiments.scaling import (
     clone_with_capacities,
     processing_capacities_for_fraction,
@@ -51,6 +52,7 @@ from repro.experiments.scaling import (
 )
 from repro.workload.generator import generate_workload
 from repro.workload.params import WorkloadParams
+from tests.reference_arm import arm, arm_shards
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "goldens.json"
 
@@ -66,12 +68,24 @@ def _relaxed(params: WorkloadParams) -> WorkloadParams:
     )
 
 
+def _partition(model, kernel: str):
+    """The arm's PARTITION: the scalar oracle for ``"scalar"``."""
+    if kernel == "scalar":
+        return partition_all_reference(model)
+    return partition_all(model)
+
+
+def _solve(model, kernel: str):
+    """One full policy run in the arm ``kernel``."""
+    with arm(kernel):
+        return RepositoryReplicationPolicy(shards=arm_shards(kernel)).run(model)
+
+
 def compute_table1_unconstrained(kernel: str = "batched") -> dict:
     """Pure PARTITION on the relaxed Table 1 workload."""
     model = generate_workload(_relaxed(WorkloadParams.paper()), seed=SEED)
-    policy = RepositoryReplicationPolicy(kernel=kernel)
-    cost = policy.cost_model(model)
-    alloc = partition_all(model, kernel=kernel)
+    cost = RepositoryReplicationPolicy().cost_model(model)
+    alloc = _partition(model, kernel)
     return {
         "D": cost.D(alloc),
         "D1": cost.D1(alloc),
@@ -85,11 +99,11 @@ def compute_table1_unconstrained(kernel: str = "batched") -> dict:
 def compute_small_constrained(kernel: str = "batched") -> dict:
     """Full policy on the small workload at 50% storage."""
     model = generate_workload(_relaxed(WorkloadParams.small()), seed=SEED)
-    reference = partition_all(model, kernel=kernel)
+    reference = _partition(model, kernel)
     caps = storage_capacities_for_fraction(model, reference, 0.5)
     clone = clone_with_capacities(model, storage=caps)
-    result = RepositoryReplicationPolicy(kernel=kernel).run(clone)
-    cost = RepositoryReplicationPolicy(kernel=kernel).cost_model(clone)
+    result = _solve(clone, kernel)
+    cost = RepositoryReplicationPolicy().cost_model(clone)
     alloc = result.allocation
     return {
         "D": cost.D(alloc),
@@ -106,14 +120,14 @@ def compute_small_constrained(kernel: str = "batched") -> dict:
 def compute_small_processing(kernel: str = "batched") -> dict:
     """Full policy on the small workload at 50% processing headroom."""
     model = generate_workload(_relaxed(WorkloadParams.small()), seed=SEED)
-    reference = partition_all(model, kernel=kernel)
+    reference = _partition(model, kernel)
     caps = np.maximum(
         processing_capacities_for_fraction(model, 0.5, reference) + 1e-9,
         1e-6,
     )
     clone = clone_with_capacities(model, processing=caps)
-    result = RepositoryReplicationPolicy(kernel=kernel).run(clone)
-    cost = RepositoryReplicationPolicy(kernel=kernel).cost_model(clone)
+    result = _solve(clone, kernel)
+    cost = RepositoryReplicationPolicy().cost_model(clone)
     alloc = result.allocation
     return {
         "D": cost.D(alloc),
@@ -128,11 +142,11 @@ def compute_small_processing(kernel: str = "batched") -> dict:
 def compute_small_offload(kernel: str = "batched") -> dict:
     """Full policy on the small workload at 50% repository capacity."""
     model = generate_workload(_relaxed(WorkloadParams.small()), seed=SEED)
-    reference = partition_all(model, kernel=kernel)
+    reference = _partition(model, kernel)
     repo_cap = repo_capacity_for_fraction(reference, 0.5)
     clone = clone_with_capacities(model, repo_capacity=repo_cap)
-    result = RepositoryReplicationPolicy(kernel=kernel).run(clone)
-    cost = RepositoryReplicationPolicy(kernel=kernel).cost_model(clone)
+    result = _solve(clone, kernel)
+    cost = RepositoryReplicationPolicy().cost_model(clone)
     alloc = result.allocation
     out = result.offload_outcome
     return {
@@ -155,17 +169,22 @@ def compute_dynamic_incremental(kernel: str = "batched") -> dict:
     dirty-set detection, the per-server rebuild, the localized Eq. 8-10
     repair, and the churn accounting.
     """
+    model = generate_workload(_relaxed(WorkloadParams.small()), seed=SEED)
+    reference = _partition(model, kernel)
+    caps = storage_capacities_for_fraction(model, reference, 0.6)
+    truth = clone_with_capacities(model, storage=caps)
+    with arm(kernel):
+        return _replan_epochs(truth, kernel)
+
+
+def _replan_epochs(truth, kernel: str) -> dict:
     from repro.dynamic.drift import rotate_hot_set
     from repro.dynamic.incremental import (
         IncrementalConfig,
         IncrementalReplanner,
     )
 
-    model = generate_workload(_relaxed(WorkloadParams.small()), seed=SEED)
-    reference = partition_all(model, kernel=kernel)
-    caps = storage_capacities_for_fraction(model, reference, 0.6)
-    truth = clone_with_capacities(model, storage=caps)
-    policy = RepositoryReplicationPolicy(kernel=kernel)
+    policy = RepositoryReplicationPolicy(shards=arm_shards(kernel))
     replanner = IncrementalReplanner(
         policy, truth, IncrementalConfig(audit_every=0)
     )

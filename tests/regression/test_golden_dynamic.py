@@ -4,9 +4,9 @@
 which pages went dirty, which servers were rebuilt, the exact objective
 and the replica bytes moved — so a change to the dirty-set rule, the
 per-server rebuild, or the churn accounting fails here instead of
-silently shifting the extension's measurements.  Both policy kernels
-are compared against the *same* snapshot (the pipeline is
-kernel-independent by contract).
+silently shifting the extension's measurements.  The batched engine
+and the scalar oracles (``tests.reference_arm``) are compared against
+the *same* snapshot (the pipeline is engine-independent by contract).
 
 To refresh after an *intentional* algorithmic change, see
 ``tests/regression/refresh_goldens.py``.

@@ -2,10 +2,10 @@
 
 The snapshots in ``goldens.json`` record ``D``, ``D1``, ``D2`` and the
 per-server replica-set sizes for the seeded workloads, computed once and
-committed.  Every run recomputes them under **both** PARTITION kernels:
-a future perf PR that changes any allocation — even one that leaves the
-balanced page max intact — fails here instead of silently shifting the
-paper's figures.
+committed.  Every run recomputes them with the batched engine **and**
+the scalar oracles of :mod:`repro.core.reference`: a future perf change
+that alters any allocation — even one that leaves the balanced page max
+intact — fails here instead of silently shifting the paper's figures.
 
 To refresh after an *intentional* algorithmic change, see
 ``tests/regression/refresh_goldens.py``.
@@ -25,10 +25,10 @@ from tests.regression.refresh_goldens import (
 
 KERNELS = ("batched", "scalar")
 
-#: Full-policy scenarios additionally run under the sharded
-#: process-parallel kernel (``repro.core.shard``): its reconciled output
-#: must be byte-identical to the batched goldens, so no separate
-#: snapshots exist — a divergence fails against the same numbers.
+#: Full-policy scenarios additionally run on per-server shards
+#: (``repro.core.shard``): the reconciled output must be byte-identical
+#: to the batched goldens, so no separate snapshots exist — a
+#: divergence fails against the same numbers.
 POLICY_KERNELS = ("batched", "scalar", "sharded")
 
 #: Objective values are deterministic given the seed; the loose relative

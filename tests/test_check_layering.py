@@ -48,3 +48,30 @@ def test_other_comparisons_pass():
 
 def test_source_tree_is_clean():
     assert check_layering.check() == []
+
+
+@pytest.mark.parametrize(
+    "snippet, package",
+    [
+        ("from repro.core.reference import restore_storage_reference\n", "repro.core"),
+        ("import repro.core.reference as ref\n", "repro.dynamic"),
+        ("from repro.core import reference\n", "repro.experiments"),
+        ("from .reference import partition_all_reference\n", "repro.core"),
+        ("from ..core import reference\n", "repro.network"),
+        ("def f():\n    from repro.core.reference import _LazyHeap\n", "repro.core"),
+    ],
+)
+def test_oracle_import_is_flagged(snippet, package):
+    assert check_layering.oracle_import_lines(snippet, package) != []
+
+
+@pytest.mark.parametrize(
+    "snippet, package",
+    [
+        ("from repro.core.restoration import restore_storage_capacity\n", "repro.core"),
+        ("from repro.core import restoration\n", "repro.dynamic"),
+        ("from .reference import x\n", "repro.network"),
+    ],
+)
+def test_other_imports_pass_the_oracle_rule(snippet, package):
+    assert check_layering.oracle_import_lines(snippet, package) == []

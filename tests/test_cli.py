@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -56,6 +58,29 @@ class TestCommands:
         assert rc == 0
         row = next(ln for ln in out.splitlines() if ln.startswith("| 100%"))
         assert row.split("|")[2].strip() == "+0.0%"
+
+    def test_fig1_shards_reach_the_sweep(self, capsys, tmp_path):
+        """``--shards`` is the one sharding switch: the sweep's policy
+        solves run on exactly that many shards."""
+        target = tmp_path / "m.json"
+        rc = main(
+            [
+                "--shards",
+                "1",
+                "--scale",
+                "tiny",
+                "--runs",
+                "1",
+                "--metrics-out",
+                str(target),
+                "fig1",
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        doc = json.loads(target.read_text())
+        assert doc["run"]["shards"] == 1
+        assert doc["gauges"]["shard.count"] == 1.0
 
     def test_fig2(self, capsys):
         rc = main(
@@ -139,8 +164,8 @@ class TestCommands:
                     "tiny",
                     "--streams",
                     "3",
-                    "--kernel",
-                    "sharded",
+                    "--shards",
+                    "2",
                     "analyze",
                 ]
             )
